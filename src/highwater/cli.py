@@ -15,7 +15,7 @@ from . import elements as el
 from .eigen import (eigendecompose, fusion_check, miyamoto_consistency,
                     product_identity_suite, twisted_identity_suite)
 from .fields import BadCharacteristicError, Field
-from .ideals import IdealArgumentError, ideal_of, membership
+from .ideals import IdealArgumentError, ideal_of
 from .quotients import (FiniteAlgebra, QuotientError, family_Hn, family_Ln,
                         small_quotient_suite)
 from .textio import ParseError, element_to_json, format_element, parse_element
@@ -47,8 +47,11 @@ def _parse_gens(field: Field, text: str) -> list[el.Element]:
 def _emit(args, payload: dict, text: str) -> None:
     out = json.dumps(payload, indent=2) if args.format == "json" else text
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out + "\n")
+        except OSError as e:
+            raise _UsageError(f"cannot write {args.out}: {e.strerror}")
     else:
         print(out)
 
@@ -147,6 +150,8 @@ def _cmd_quotient(args) -> int:
 
 def _cmd_families(args) -> int:
     field = _field(args)
+    if args.max_n < 1:
+        raise _UsageError("--max-n must be at least 1")
     rows = []
     lines = [f"{'n':>3} {'H_n':>6} {'Hhat_n':>7} {'L_n':>6} {'Lhat_n':>7}"]
     for n in range(1, args.max_n + 1):
@@ -166,6 +171,8 @@ def _cmd_families(args) -> int:
 
 def _cmd_verify(args) -> int:
     field = _field(args)
+    if args.imax < 1:
+        raise _UsageError("--imax must be at least 1")
     suite = args.suite
     if suite == "fusion":
         rep = fusion_check(field, args.imax)

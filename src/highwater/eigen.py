@@ -20,7 +20,6 @@ from functools import lru_cache
 
 from . import elements as el
 from .fields import Field, Scalar
-from .linalg import det
 
 EIGENVALUES = (Fraction(1), Fraction(5, 2), Fraction(0), Fraction(2),
                Fraction(1, 2))
@@ -95,19 +94,6 @@ def slice_split(x: el.Element, center: int = 0):
                           for i, t in sorted(slices.items())}
 
 
-@lru_cache(maxsize=None)
-def _check_slice_solvable(field: Field) -> bool:
-    """Assert the slice change of basis is invertible over this field."""
-    i = 3
-    basis = [el.axis(field, 0), el.u_elem(field, i), el.v_elem(field, i),
-             el.w_elem(field, i), el.z_elem(field, i), el.w_tilde(field, i)]
-    keys = [("a", 0), ("a", -i), ("a", i), ("s", i), ("p", 1, i), ("p", 2, i)]
-    m = [[b.coeff(k) for b in basis] for k in keys]
-    if not det(m, field):  # pragma: no cover - excluded characteristics
-        raise ValueError(f"slice basis is degenerate over {field}")
-    return True
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     axis_index: int
@@ -127,7 +113,6 @@ class EigenDecomposition:
 def eigendecompose(x: el.Element, axis_index: int = 0) -> EigenDecomposition:
     """Exact eigenspace decomposition of x for the adjoint of a(axis_index)."""
     field = x.field
-    _check_slice_solvable(field)
     if axis_index:
         inner = eigendecompose(el.apply(el.theta(-axis_index), x), 0)
         back = el.theta(axis_index)

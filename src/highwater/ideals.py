@@ -25,9 +25,6 @@ reduction to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from . import elements as el
 from .fields import Field, Scalar
 from .linalg import Rref, kernel_basis
@@ -35,33 +32,6 @@ from .linalg import Rref, kernel_basis
 
 class IdealArgumentError(ValueError):
     """Raised for arguments outside an operation's domain."""
-
-
-# -- degree bookkeeping --------------------------------------------------------
-
-@dataclass(frozen=True)
-class Degrees:
-    a_length: int       # max - min + 1 over the a-support (0 if empty)
-    s_level: int        # top s-subscript (0 if empty)
-    p_level: int        # top p-subscript (0 if empty)
-    j_degree: Fraction | None  # only for nonzero elements inside J
-
-
-def degrees(x: el.Element) -> Degrees:
-    a_idx = [k[1] for k in x.terms if k[0] == "a"]
-    s_idx = [k[1] for k in x.terms if k[0] == "s"]
-    p_idx = [k[2] for k in x.terms if k[0] == "p"]
-    a_length = (max(a_idx) - min(a_idx) + 1) if a_idx else 0
-    s_level = max(s_idx, default=0)
-    p_level = max(p_idx, default=0)
-    j_degree = None
-    if p_idx and not a_idx and not s_idx:
-        j_degree = Fraction(p_level)
-        if x.coeff(("p", 1, p_level)):
-            j_degree += Fraction(1, 4)
-        if x.coeff(("p", 2, p_level)):
-            j_degree += Fraction(1, 2)
-    return Degrees(a_length, s_level, p_level, j_degree)
 
 
 # -- ideals inside J -----------------------------------------------------------

@@ -12,9 +12,6 @@ def zeros(field: Field, n: int) -> Vec:
     return [field.zero] * n
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return [a + b for a, b in zip(u, v)]
-
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return [a - b for a, b in zip(u, v)]
 
@@ -129,43 +126,3 @@ def kernel_basis(m: Mat, field: Field) -> list[Vec]:
                 v[piv] = -row[j]
         basis.append(v)
     return basis
-
-
-def solve(m: Mat, rhs: Vec, field: Field) -> Vec | None:
-    """One solution of m x = rhs, or None if inconsistent."""
-    ncols = len(m[0]) if m else 0
-    rr = Rref(field, ncols + 1)
-    for row, b in zip(m, rhs):
-        rr.insert(list(row) + [b])
-    x = zeros(field, ncols)
-    for row, piv in zip(rr.rows, rr.pivots):
-        if piv == ncols:
-            return None
-        x[piv] = row[ncols]
-    # x has free coordinates set to zero; verify (cheap, sizes are small)
-    if mat_vec(m, x, field) != [b for b in rhs]:
-        return None
-    return x
-
-
-def det(m: Mat, field: Field) -> Scalar:
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    a = [list(row) for row in m]
-    sign = field.one
-    result = field.one
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return field.zero
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        pval = a[col][col]
-        result = result * pval
-        inv = pval.inverse()
-        for r in range(col + 1, n):
-            c = a[r][col] * inv
-            if c:
-                a[r] = [x - c * y for x, y in zip(a[r], a[col])]
-    return result * sign

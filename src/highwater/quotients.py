@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import elements as el
 from . import linalg
-from .eigen import EIGENVALUES, eigendecompose
+from .eigen import fusion_law
 from .fields import Field, Scalar
 from .ideals import IdealArgumentError, IdealData, ideal_of, membership
 
@@ -150,17 +150,10 @@ def eigenspace_split(q: FiniteAlgebra, axis_vec):
     """
     field = q.field
     ad = q.adjoint(axis_vec)
-    values = []
-    for num, den in ((1, 1), (5, 2), (0, 1), (2, 1), (1, 2)):
-        v = field.scalar(num, den)
-        if v not in values:
-            values.append(v)
     spaces = {}
     total = 0
-    for v in values:
-        m = [[ad[i][j] - (v if i == j else field.zero)
-              for j in range(q.dim)] for i in range(q.dim)]
-        basis = linalg.kernel_basis(m, field)
+    for v in fusion_law(field).values:
+        basis = linalg.kernel_basis(_shift(ad, v), field)
         if basis:
             spaces[v] = basis
             total += len(basis)
@@ -169,36 +162,39 @@ def eigenspace_split(q: FiniteAlgebra, axis_vec):
     return spaces
 
 
+def _shift(m, c: Scalar):
+    """The matrix m - c*I."""
+    return [[x - c if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(m)]
+
+
+def _identity(field: Field, n: int):
+    return [[field.one if i == j else field.zero for j in range(n)]
+            for i in range(n)]
+
+
 def miyamoto_matrix(q: FiniteAlgebra, axis_vec) -> list[list[Scalar]] | None:
-    """The involution negating the half-eigenspace of an axis image."""
+    """The involution negating the half-eigenspace of an axis image.
+
+    It is I - 2E, where E, the projection onto the 1/2-eigenspace, is the
+    Lagrange product of (ad - mu*I)/(1/2 - mu) over the other values mu
+    of the fusion law.  None when ad has no total eigendecomposition,
+    that is when the product of (ad - mu*I) over all values is not zero.
+    """
     field = q.field
-    spaces = eigenspace_split(q, axis_vec)
-    if spaces is None:
-        return None
+    ad = q.adjoint(axis_vec)
     half = field.scalar(1, 2)
-    cols_in = []
-    cols_out = []
-    for v, basis in spaces.items():
-        sign = -field.one if v == half else field.one
-        for b in basis:
-            cols_in.append(b)
-            cols_out.append(linalg.vec_scale(b, sign))
-    # solve P = out * in^{-1} column by column
-    n = q.dim
-    m_in = [[cols_in[j][i] for j in range(n)] for i in range(n)]
-    p_cols = []
-    for k in range(n):
-        e = [field.zero] * n
-        e[k] = field.one
-        coeffs = linalg.solve(m_in, e, field)
-        if coeffs is None:  # pragma: no cover - spaces span by construction
-            return None
-        col = [field.zero] * n
-        for c, out in zip(coeffs, cols_out):
-            if c:
-                col = linalg.vec_add(col, linalg.vec_scale(out, c))
-        p_cols.append(col)
-    return [[p_cols[j][i] for j in range(n)] for i in range(n)]
+    proj = _identity(field, q.dim)
+    for mu in fusion_law(field).values:
+        if mu != half:
+            c = (half - mu).inverse()
+            proj = [linalg.vec_scale(row, c) for row in
+                    linalg.mat_mul(proj, _shift(ad, mu), field)]
+    if any(map(any, linalg.mat_mul(proj, _shift(ad, half), field))):
+        return None
+    two = field.scalar(2)
+    return [[x - two * e for x, e in zip(row, erow)]
+            for row, erow in zip(_identity(field, q.dim), proj)]
 
 
 class AxisOrbit:
@@ -210,65 +206,61 @@ class AxisOrbit:
         self.miyamoto_group_order = miyamoto_group_order
 
 
-def axis_orbit(q: FiniteAlgebra, cutoff: int) -> AxisOrbit:
+def _dihedral_order(q: FiniteAlgebra, taus, gens, cap: int):
+    """Order of the group generated by the two involutions ``taus``."""
     field = q.field
-    start = [q.to_vector(el.axis(field, 0)), q.to_vector(el.axis(field, 1))]
+    trivial = [t == _identity(field, q.dim) for t in taus]
+    if all(trivial):
+        return 1
+    if any(trivial):
+        return 2
+    imgs = gens
+    for m in range(1, cap // 2 + 1):
+        imgs = [linalg.mat_vec(taus[0], linalg.mat_vec(taus[1], v, field),
+                               field) for v in imgs]
+        if imgs == gens:
+            return 2 * m
+    return "unbounded at cutoff"
+
+
+def axis_orbit(q: FiniteAlgebra, cutoff: int) -> AxisOrbit:
+    """Orbit of the images of a(0) and a(1) under their Miyamoto maps.
+
+    The quotient is generated by the two axis images, so its Miyamoto
+    group is the dihedral group generated by tau0 and tau1: the map of
+    the image g(a) of an axis is g tau_a g^-1.  Only tau0 and tau1 are
+    built, and the orbit is found by a breadth-first search by layers
+    under them.  It is closed when it has at most ``cutoff`` axes;
+    otherwise the search stops at the first layer that passes the cutoff,
+    and how many axes an open orbit lists is not fixed.
+
+    The group order is read off without multiplying matrices: 1 when
+    tau0 = tau1 = I, 2 when exactly one of them is I, and otherwise 2m,
+    where m is the order of tau0*tau1.  The two generators determine a
+    map of the quotient, so m is found by iterating tau0*tau1 on them.
+    An open orbit, or an order above max(4*cutoff, 64), gives
+    "unbounded at cutoff".
+    """
+    field = q.field
+    gens = [q.to_vector(el.axis(field, i)) for i in (0, 1)]
+    taus = [miyamoto_matrix(q, v) for v in gens]
+    if None in taus:  # pragma: no cover - axes always decompose
+        raise QuotientError("axis image without total eigendecomposition")
     axes = []
     seen = set()
-    for v in start:
-        t = tuple(v)
-        if t not in seen:
-            seen.add(t)
-            axes.append(v)
-    maps = {}
-    closed = True
-    while True:
-        if len(axes) > cutoff:
-            closed = False
-            break
-        for v in axes:
-            t = tuple(v)
-            if t not in maps:
-                m = miyamoto_matrix(q, v)
-                if m is None:  # pragma: no cover - axes always decompose
-                    raise QuotientError(
-                        "axis image without total eigendecomposition")
-                maps[t] = m
-        new = []
-        for m in maps.values():
-            for v in axes:
-                img = linalg.mat_vec(m, v, field)
-                ti = tuple(img)
-                if ti not in seen:
-                    seen.add(ti)
-                    new.append(img)
-        if not new:
-            break
-        axes.extend(new)
+    layer = gens
+    while layer and len(axes) <= cutoff:
+        fresh = []
+        for v in layer:
+            if tuple(v) not in seen:
+                seen.add(tuple(v))
+                fresh.append(v)
+        axes.extend(fresh)
+        layer = [linalg.mat_vec(t, v, field) for v in fresh for t in taus]
+    closed = len(axes) <= cutoff
 
-    order = "unbounded at cutoff"
-    if closed:
-        gens = [tuple(map(tuple, m)) for m in maps.values()]
-        group = set()
-        frontier = list(dict.fromkeys(gens))
-        ident = tuple(tuple(field.one if i == j else field.zero
-                            for j in range(q.dim)) for i in range(q.dim))
-        group.add(ident)
-        cap = max(4 * cutoff, 64)
-        ok = True
-        while frontier:
-            g = frontier.pop()
-            if g in group:
-                continue
-            group.add(g)
-            if len(group) > cap:
-                ok = False
-                break
-            for h in gens:
-                prod = linalg.mat_mul([list(r) for r in g],
-                                      [list(r) for r in h], field)
-                frontier.append(tuple(map(tuple, prod)))
-        order = len(group) if ok else "unbounded at cutoff"
+    order = (_dihedral_order(q, taus, gens, max(4 * cutoff, 64)) if closed
+             else "unbounded at cutoff")
     return AxisOrbit(axes, closed, order)
 
 
@@ -330,10 +322,8 @@ def small_quotient_suite(field: Field) -> list[dict]:
     # through 0 acts nontrivially
     q1 = family_Ln(1, field)
     m = q1.induced_map(el.tau(0))
-    ident = [[field.one if i == j else field.zero for j in range(q1.dim)]
-             for i in range(q1.dim)]
     report.append(_case("double_axis_line", q1.dim == 2 and m is not None
-                        and m != ident, dim=q1.dim))
+                        and m != _identity(field, q1.dim), dim=q1.dim))
 
     # (c) one-parameter deformations: q-bar acts as the scalar (3/4)(d+3)
     deltas_ok = []

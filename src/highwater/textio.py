@@ -28,7 +28,7 @@ class ParseError(ValueError):
 
 def _format_coeff(c: Scalar) -> tuple[str, str]:
     """Return (sign, magnitude-with-star) for a printable coefficient."""
-    q = c.value if c.field.characteristic == 0 else c.value
+    q = c.value
     if isinstance(q, Fraction):
         sign = "-" if q < 0 else "+"
         mag = abs(q)
@@ -163,7 +163,12 @@ class _Parser:
                         "bare scalars other than 0 are not elements")
                 return el.zero(self.field)
         atom = self.parse_atom()
-        return atom.scale(self.field.from_fraction(coeff))
+        try:
+            c = self.field.from_fraction(coeff)
+        except ZeroDivisionError:
+            raise ParseError(f"coefficient {coeff} is undefined in "
+                             f"characteristic {self.field.characteristic}")
+        return atom.scale(c)
 
     def parse_element(self) -> el.Element:
         out = self.parse_term()

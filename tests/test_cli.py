@@ -114,3 +114,33 @@ def test_degenerate_index_warning(capsys):
     assert code == 0
     assert out.strip() == "0"
     assert "warning" in err
+
+
+def _one_line_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_coefficient_undefined_in_characteristic(capsys):
+    _one_line_usage_error(
+        *run(capsys, "mul", "--char", "5", "1/5*a(0)", "a(1)"))
+
+
+def test_out_into_missing_directory(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    _one_line_usage_error(*run(capsys, "mul", "--char", "0", "a(0)", "a(1)",
+                               "--out", str(target)))
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("imax", ["-3", "0"])
+def test_verify_rejects_imax_below_one(capsys, imax):
+    _one_line_usage_error(*run(capsys, "verify", "fusion", "--char", "0",
+                               "--imax", imax))
+
+
+def test_families_rejects_max_n_below_one(capsys):
+    _one_line_usage_error(*run(capsys, "families", "--char", "0",
+                               "--max-n", "0"))

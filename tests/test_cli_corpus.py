@@ -1,0 +1,62 @@
+"""Golden corpus of CLI JSON outputs, compared byte for byte.
+
+Each case runs one ``--format json`` invocation in process and compares its
+standard output with ``tests/data/cli_corpus/<name>.json``.  To rewrite the
+corpus after an intended change of output, run this file as a script::
+
+    PYTHONPATH=src python tests/test_cli_corpus.py
+"""
+
+import io
+import pathlib
+from contextlib import redirect_stdout
+
+import pytest
+
+from highwater.cli import main
+
+CORPUS = pathlib.Path(__file__).parent / "data" / "cli_corpus"
+
+CASES = {
+    "mul_char7": ["mul", "--char", "7", "2*a(-1) + s(2)", "a(3) - p(1,3)"],
+    "weight_char5": ["weight", "--char", "5", "3*a(2) + a(7) + s(1)"],
+    "eigen_axis2_char0": ["eigen", "--char", "0", "a(1) + s(1)",
+                          "--axis", "2"],
+    "ideal_classify_char0": ["ideal", "classify", "--char", "0",
+                             "--gen", "a(0) - a(4)"],
+    "ideal_member_char0": ["ideal", "member", "--char", "0",
+                           "--gen", "a(0) - a(2)", "--elt", "a(0) + s(2)"],
+    "quotient_collapse_j_char0": ["quotient", "--char", "0",
+                                  "--gen", "a(0) - a(3)", "--collapse-j"],
+    "families_char0": ["families", "--char", "0", "--max-n", "6"],
+    "verify_quotients_char0": ["verify", "quotients", "--char", "0"],
+    "verify_quotients_char5": ["verify", "quotients", "--char", "5"],
+    "verify_quotients_char7": ["verify", "quotients", "--char", "7"],
+}
+
+
+def run_case(name: str) -> tuple[int, str]:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(CASES[name] + ["--format", "json"])
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_corpus(name):
+    code, out = run_case(name)
+    assert code == 0
+    assert out == (CORPUS / f"{name}.json").read_text()
+
+
+def test_corpus_has_no_stray_files():
+    assert {p.stem for p in CORPUS.glob("*.json")} == set(CASES)
+
+
+if __name__ == "__main__":
+    CORPUS.mkdir(parents=True, exist_ok=True)
+    for name in sorted(CASES):
+        code, out = run_case(name)
+        assert code == 0, name
+        (CORPUS / f"{name}.json").write_text(out)
+        print(f"wrote {name}.json")

@@ -1,13 +1,17 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import highwater.elements as el
+import highwater.linalg as linalg
 from highwater import GF, QQ
 from highwater.ideals import ideal_of
 from highwater.quotients import (AxisOrbit, FiniteAlgebra, QuotientError,
                                  axis_orbit, eigenspace_split, family_Hn,
                                  family_Ln, miyamoto_matrix, small_quotient_suite)
+
+from highwater.quotients import _dihedral_order
 
 from conftest import random_element
 
@@ -147,6 +151,91 @@ def test_orbit_axes_are_idempotent(field):
     assert o.closed
     for v in o.axes:
         assert q.mult(v, v) == v
+
+
+# (family, n, field, (closed, axis count, Miyamoto group order)); H_n
+# collapses the p-span, L_n does not
+ORBITS = [
+    ("H", 2, GF(5), (True, 2, 1)),
+    ("H", 3, GF(5), (True, 3, 6)),
+    ("H", 4, GF(7), (True, 4, 4)),
+    ("L", 1, GF(7), (True, 7, 14)),
+    ("L", 2, GF(5), (True, 10, 10)),
+]
+ORBIT_IDS = [f"{f}{n}@{F.characteristic}" for f, n, F, _ in ORBITS]
+
+
+def _orbit_quotient(family, n, F):
+    if family == "H":
+        return family_Hn(n, F, collapse_j=True)
+    return family_Ln(n, F)
+
+
+@pytest.mark.parametrize("family,n,F,want", ORBITS, ids=ORBIT_IDS)
+def test_orbit_size_and_group_order(family, n, F, want):
+    o = axis_orbit(_orbit_quotient(family, n, F), 30)
+    assert (o.closed, len(o.axes), o.miyamoto_group_order) == want
+
+
+@pytest.mark.parametrize("family,n,F,want", ORBITS, ids=ORBIT_IDS)
+def test_every_orbit_axis_permutes_the_orbit(family, n, F, want):
+    q = _orbit_quotient(family, n, F)
+    o = axis_orbit(q, 30)
+    assert o.closed
+    orbit = {tuple(v) for v in o.axes}
+    for v in o.axes:
+        m = miyamoto_matrix(q, v)
+        assert m is not None
+        assert {tuple(linalg.mat_vec(m, w, F)) for w in o.axes} == orbit
+
+
+def _perm(field, images):
+    n = len(images)
+    return [[field.one if images[j] == i else field.zero for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("t0,t1,want", [
+    ((0, 1, 2), (0, 1, 2), 1),
+    ((1, 0, 2), (0, 1, 2), 2),
+    ((0, 1, 2), (0, 2, 1), 2),
+    ((1, 0, 2), (1, 0, 2), 2),
+    ((1, 0, 2), (0, 2, 1), 6),
+])
+def test_dihedral_order_of_two_involutions(t0, t1, want):
+    # permutations of three coordinates; e0 and e1 stand for the generators
+    F = GF(7)
+    q = SimpleNamespace(field=F, dim=3)
+    gens = [[F.one, F.zero, F.zero], [F.zero, F.one, F.zero]]
+    taus = [_perm(F, t0), _perm(F, t1)]
+    assert _dihedral_order(q, taus, gens, 64) == want
+    if want > 2:
+        # the cap bounds the group order, not the order of tau0*tau1
+        assert _dihedral_order(q, taus, gens, want) == want
+        assert _dihedral_order(q, taus, gens, want - 1) == \
+            "unbounded at cutoff"
+
+
+def test_miyamoto_matrix_negates_exactly_the_half_space(field):
+    half = field.scalar(1, 2)
+    for q in (family_Hn(4, field), family_Ln(2, field),
+              family_Hn(5, field, collapse_j=True)):
+        for i in (0, 1, 2):
+            v = q.to_vector(A(field, i))
+            m = miyamoto_matrix(q, v)
+            spaces = eigenspace_split(q, v)
+            assert m is not None and spaces is not None
+            for lam, basis in spaces.items():
+                sign = -field.one if lam == half else field.one
+                for b in basis:
+                    assert linalg.mat_vec(m, b, field) == \
+                        linalg.vec_scale(b, sign)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(5)], ids=["char0", "char5"])
+def test_miyamoto_matrix_none_without_total_decomposition(F):
+    q = family_Hn(3, F, collapse_j=True)
+    assert miyamoto_matrix(q, q.to_vector(A(F, 0).scale(F.scalar(2)))) is None
 
 
 # -- the exceptional-quotient suite ---------------------------------------------------

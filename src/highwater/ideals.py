@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from . import elements as el
 from .fields import Field, Scalar
-from .linalg import Rref, kernel_basis
+from .linalg import Rref
 
 
 class IdealArgumentError(ValueError):
@@ -253,7 +253,7 @@ def _comb_sub_shifted(comb, other, c: Scalar, k: int):
             comb.pop(key, None)
 
 
-def _euclid(a: _Tracked, b: _Tracked, field: Field) -> _Tracked:
+def _euclid(a: _Tracked, b: _Tracked) -> _Tracked:
     while b.poly:
         # divide a by b, keeping only the remainder
         r = list(a.poly)
@@ -273,7 +273,7 @@ def _euclid(a: _Tracked, b: _Tracked, field: Field) -> _Tracked:
     return a
 
 
-def _normalize_tracked(t: _Tracked, field: Field) -> _Tracked:
+def _normalize_tracked(t: _Tracked) -> _Tracked:
     low = next(i for i, c in enumerate(t.poly) if c)
     poly = t.poly[low:]
     inv = poly[-1].inverse()
@@ -299,9 +299,9 @@ def laurent_gcd(field: Field, patterns):
             tracked.append(_Tracked(poly, {(idx, 0): field.one}))
     if not tracked:
         raise IdealArgumentError("all patterns are zero")
-    acc = _normalize_tracked(tracked[0], field)
+    acc = _normalize_tracked(tracked[0])
     for item in tracked[1:]:
-        acc = _normalize_tracked(_euclid(acc, item, field), field)
+        acc = _normalize_tracked(_euclid(acc, item))
     coeffs = tuple(acc.poly)
     combo = sorted(((idx, sh, c) for (idx, sh), c in acc.comb.items()))
     return coeffs, combo
@@ -313,13 +313,14 @@ class PatternIdeal:
     """The data of an ideal not contained in J.
 
     ``alpha`` is the monic pattern (alpha[0] != 0, alpha[-1] == 1) of
-    degree D; ``epsilon`` the palindrome sign; ``extension`` a row-
-    reduced list of canonical-representative vectors over the survivor
-    coordinates spanning the part of the ideal beyond the minimal one.
+    degree D; ``epsilon`` the palindrome sign.  ``extension`` is an
+    ``Rref`` of canonical-representative vectors over ``survivor_keys``
+    spanning the part of the ideal beyond the minimal one; it starts
+    empty and ``ideal_of`` fills it.  Its pivots are the survivor keys
+    that the extension eliminates.
     """
 
-    def __init__(self, field: Field, alpha, epsilon: int,
-                 contains_j: bool, extension_rows=(), survivor_keys=None):
+    def __init__(self, field: Field, alpha, epsilon: int, contains_j: bool):
         alpha = tuple(alpha)
         if len(alpha) < 2 or not alpha[0] or alpha[-1] != field.one:
             raise IdealArgumentError("pattern must be monic of degree >= 1")
@@ -327,14 +328,17 @@ class PatternIdeal:
         self.alpha = alpha
         self.epsilon = epsilon
         self.contains_j = contains_j
-        self.survivor_keys = (list(survivor_keys) if survivor_keys is not None
-                              else self._survivors())
+        self.survivor_keys = self._survivors()
         self._key_pos = {k: i for i, k in enumerate(self.survivor_keys)}
-        self.extension_rows = [list(r) for r in extension_rows]
+        self.extension = Rref()
 
     @property
     def degree(self) -> int:
         return len(self.alpha) - 1
+
+    @property
+    def extension_rows(self) -> list[list[Scalar]]:
+        return self.extension.rows
 
     def _survivors(self) -> list:
         d = self.degree
@@ -456,14 +460,8 @@ class PatternIdeal:
 
     def reduce(self, x: el.Element) -> el.Element:
         rem = self.reduce_core(x)
-        if self.extension_rows:
-            vec = self.to_vector(rem)
-            for row in self.extension_rows:
-                piv = next(i for i, c in enumerate(row) if c)
-                c = vec[piv]
-                if c:
-                    vec = [a - c * b for a, b in zip(vec, row)]
-            rem = self.from_vector(vec)
+        if self.extension.rows:
+            rem = self.from_vector(self.extension.residue(self.to_vector(rem)))
         return rem
 
 
@@ -556,22 +554,21 @@ def _residue_sums_nonzero(field: Field, alpha) -> bool:
 
 # -- the general classification engine -------------------------------------------
 
-def _pattern_of_pure_a(x: el.Element):
-    """(coeff list with lowest exponent 0, base offset) of a pure-a element."""
+def _pattern_of_pure_a(x: el.Element) -> list[Scalar]:
+    """Coefficient list of a pure-a element, lowest exponent moved to 0."""
     idx = {k[1]: c for k, c in x.terms.items()}
-    lo, hi = min(idx), max(idx)
-    return [idx.get(i, x.field.zero) for i in range(lo, hi + 1)], lo
+    return [idx.get(i, x.field.zero) for i in range(min(idx), max(idx) + 1)]
 
 
 def _reverse_elem(x: el.Element) -> el.Element:
     return el.apply(_TAU0, x)
 
 
-def _closure(ideal: PatternIdeal, seeds: list[el.Element]):
-    """Row-reduce seed representatives and close under multiplication."""
+def _closure(ideal: PatternIdeal, seeds: list[el.Element]) -> None:
+    """Row-reduce seed representatives into ``ideal.extension`` and close
+    the span under multiplication."""
     field = ideal.field
-    width = len(ideal.survivor_keys)
-    rr = Rref(field, width)
+    rr = ideal.extension
     queue = []
     for s in seeds:
         vec = ideal.to_vector(ideal.reduce_core(s))
@@ -587,7 +584,21 @@ def _closure(ideal: PatternIdeal, seeds: list[el.Element]):
             w = ideal.to_vector(prod)
             if rr.insert(w):
                 queue.append(w)
-    return rr
+
+
+def _pure_a_classes(ideal: PatternIdeal) -> list[el.Element]:
+    """A basis of the pure-a part of the extension span.
+
+    The a-window coordinates come first among the survivor keys; with
+    them moved last, the rows that pivot in them have a zero tail.
+    """
+    d = ideal.degree
+    tail = len(ideal.survivor_keys) - d
+    rr = Rref()
+    for row in ideal.extension.rows:
+        rr.insert(row[d:] + row[:d])
+    return [ideal.from_vector(row[tail:] + row[:tail])
+            for row, piv in zip(rr.rows, rr.pivots) if piv >= tail]
 
 
 def ideal_of(generators) -> IdealData:
@@ -618,19 +629,13 @@ def ideal_of(generators) -> IdealData:
             pool.append(_reverse_elem(e))
 
     while True:
-        shifted = []
-        for e in pool:
-            coeffs, off = _pattern_of_pure_a(e)
-            shifted.append((coeffs, el.apply(el.theta(-off), e)))
-        gcd_coeffs, combo = laurent_gcd(field, [c for c, _ in shifted])
+        gcd_coeffs, _ = laurent_gcd(field,
+                                    [_pattern_of_pure_a(e) for e in pool])
         total = field.zero
         for c in gcd_coeffs:
             total = total + c
         if total:
             return IdealData(field, "full")
-        witness = el.zero(field)
-        for idx, sh, c in combo:
-            witness = witness + el.apply(el.theta(sh), shifted[idx][1]).scale(c)
 
         alpha = list(gcd_coeffs)
         d = len(alpha) - 1
@@ -645,47 +650,21 @@ def ideal_of(generators) -> IdealData:
 
         ideal = PatternIdeal(field, alpha, eps,
                              contains_j=_residue_sums_nonzero(field, alpha))
-        seeds = list(gens) + [el.apply(el.tau(1), g) for g in gens]
-        seeds.append(witness)
-        rr = _closure(ideal, seeds)
+        _closure(ideal, list(gens) + [el.apply(el.tau(1), g) for g in gens])
 
-        # look for pure-a classes inside the closure: they shrink the gcd
-        n_a = ideal.degree          # a-window coordinates come first
-        tail_cols = list(range(n_a, len(ideal.survivor_keys)))
-        if rr.rows and tail_cols:
-            tails = [[row[c] for c in tail_cols] for row in rr.rows]
-            lam_basis = kernel_basis(
-                [list(col) for col in zip(*tails)], field)
-        else:
-            lam_basis = [[field.one if i == j else field.zero
-                          for j in range(len(rr.rows))]
-                         for i in range(len(rr.rows))] if rr.rows else []
-        new_pure = []
-        for lam in lam_basis:
-            vec = [field.zero] * len(ideal.survivor_keys)
-            for coeff, row in zip(lam, rr.rows):
-                if coeff:
-                    vec = [a + coeff * b for a, b in zip(vec, row)]
-            elem = ideal.from_vector(vec)
-            if elem and elem.is_pure_a():
-                new_pure.append(elem)
+        # pure-a classes inside the closure shrink the gcd
+        new_pure = _pure_a_classes(ideal)
         if new_pure:
             for e in new_pure:
                 pool.append(e)
                 pool.append(_reverse_elem(e))
             continue
 
-        contains_j = ideal.contains_j
-        if not contains_j:
-            staged = PatternIdeal(field, alpha, eps, contains_j=False,
-                                  extension_rows=rr.rows,
-                                  survivor_keys=ideal.survivor_keys)
-            contains_j = all(
-                staged.reduce(el.pi(field, r, 3)).is_zero() for r in (1, 2))
-        final = PatternIdeal(field, alpha, eps, contains_j=contains_j,
-                             extension_rows=rr.rows,
-                             survivor_keys=ideal.survivor_keys)
-        return IdealData(field, "pattern", pattern=final)
+        # J lies in the ideal when the extension absorbs p(1,3) and p(2,3)
+        if not ideal.contains_j:
+            ideal.contains_j = all(
+                ideal.reduce(el.pi(field, r, 3)).is_zero() for r in (1, 2))
+        return IdealData(field, "pattern", pattern=ideal)
 
 
 def membership(x: el.Element, ideal: IdealData) -> bool:

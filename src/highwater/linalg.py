@@ -18,9 +18,6 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
 def vec_scale(u: Vec, c: Scalar) -> Vec:
     return [a * c for a in u]
 
-def is_zero_vec(u: Vec) -> bool:
-    return not any(u)
-
 
 def mat_vec(m: Mat, v: Vec, field: Field) -> Vec:
     out = []
@@ -44,66 +41,41 @@ def mat_mul(a: Mat, b: Mat, field: Field) -> Mat:
 class Rref:
     """A row-reduced spanning set with incremental insertion.
 
-    Rows are kept in reduced row echelon form.  Each row may carry an
-    arbitrary ``tag`` payload that is combined linearly alongside it
-    (used to track ideal-member lifts through row operations).
+    Rows are kept in reduced row echelon form, sorted by pivot column;
+    the pivot of a row is its first nonzero entry.
     """
 
-    def __init__(self, field: Field, width: int,
-                 tag_add=None, tag_scale=None):
-        self.field = field
-        self.width = width
+    def __init__(self):
         self.rows: list[Vec] = []
         self.pivots: list[int] = []
-        self.tags: list = []
-        self._tag_add = tag_add
-        self._tag_scale = tag_scale
 
-    def _combine(self, tag, other, c: Scalar):
-        if self._tag_add is None:
-            return None
-        return self._tag_add(tag, self._tag_scale(other, c))
-
-    def residue(self, v: Vec, tag=None):
-        """Reduce v against the rows; returns (residue, combined tag)."""
+    def residue(self, v: Vec) -> Vec:
+        """v reduced against the rows; zero exactly when v is in the span."""
         v = list(v)
-        for row, piv, rtag in zip(self.rows, self.pivots, self.tags):
+        for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
             if c:
                 v = [a - c * b for a, b in zip(v, row)]
-                tag = self._combine(tag, rtag, -c)
-        return v, tag
+        return v
 
-    def contains(self, v: Vec) -> bool:
-        r, _ = self.residue(v)
-        return is_zero_vec(r)
-
-    def insert(self, v: Vec, tag=None) -> bool:
+    def insert(self, v: Vec) -> bool:
         """Insert v into the span; returns True if the rank grew."""
-        v, tag = self.residue(v, tag)
+        v = self.residue(v)
         piv = next((i for i, a in enumerate(v) if a), None)
         if piv is None:
             return False
         inv = v[piv].inverse()
         v = [a * inv for a in v]
-        if self._tag_scale is not None:
-            tag = self._tag_scale(tag, inv)
         # back-substitute into existing rows
         for idx, row in enumerate(self.rows):
             c = row[piv]
             if c:
                 self.rows[idx] = [a - c * b for a, b in zip(row, v)]
-                self.tags[idx] = self._combine(self.tags[idx], tag, -c)
         pos = next((i for i, p in enumerate(self.pivots) if p > piv),
                    len(self.pivots))
         self.rows.insert(pos, v)
         self.pivots.insert(pos, piv)
-        self.tags.insert(pos, tag)
         return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
 
 def kernel_basis(m: Mat, field: Field) -> list[Vec]:
@@ -111,7 +83,7 @@ def kernel_basis(m: Mat, field: Field) -> list[Vec]:
     if not m:
         return []
     ncols = len(m[0])
-    rr = Rref(field, ncols)
+    rr = Rref()
     for row in m:
         rr.insert(row)
     pivset = set(rr.pivots)

@@ -50,9 +50,7 @@ class FiniteAlgebra:
                                for h in range(1, k) for r in (1, 2)]
         else:
             pat = source_ideal.pattern
-            pivots = set()
-            for row in pat.extension_rows:
-                pivots.add(next(i for i, c in enumerate(row) if c))
+            pivots = set(pat.extension.pivots)
             self.basis_keys = [key for i, key in enumerate(pat.survivor_keys)
                                if i not in pivots]
         self._key_pos = {k: i for i, k in enumerate(self.basis_keys)}

@@ -60,10 +60,10 @@ def format_element(x: el.Element) -> str:
 _TOKEN = re.compile(r"\s*([a-z]+|\d+|[()+\-*/,])")
 
 _ATOMS = {
-    "a": (1, lambda f, i: el.axis(f, i)),
-    "s": (1, lambda f, j: el.sigma(f, j)),
-    "p": (2, lambda f, r, k: el.pi(f, r, k)),
-    "z": (2, lambda f, r, k: el.zed(f, r, k)),
+    "a": (1, el.axis),
+    "s": (1, el.sigma),
+    "p": (2, el.pi),
+    "z": (2, el.zed),
     "u": (1, el.u_elem),
     "v": (1, el.v_elem),
     "w": (1, el.w_elem),

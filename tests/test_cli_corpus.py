@@ -28,6 +28,13 @@ CASES = {
                            "--gen", "a(0) - a(2)", "--elt", "a(0) + s(2)"],
     "quotient_collapse_j_char0": ["quotient", "--char", "0",
                                   "--gen", "a(0) - a(3)", "--collapse-j"],
+    "ideal_classify_extension_char0": ["ideal", "classify", "--char", "0",
+                                       "--gen", "a(0) - a(6) + p(1,3)"],
+    "quotient_extension_char5": ["quotient", "--char", "5", "--gen",
+                                 "a(0) - a(1) + a(3) - a(4) + p(2,3)"],
+    "ideal_member_extension_char7": ["ideal", "member", "--char", "7",
+                                     "--gen", "a(0) - a(6) + p(1,3)",
+                                     "--elt", "a(9) + s(7) + p(2,6)"],
     "families_char0": ["families", "--char", "0", "--max-n", "6"],
     "verify_quotients_char0": ["verify", "quotients", "--char", "0"],
     "verify_quotients_char5": ["verify", "quotients", "--char", "5"],

@@ -1,0 +1,96 @@
+"""Rref and kernel_basis on seeded random rows over Q and GF(7)."""
+
+import random
+
+import pytest
+
+from conftest import random_scalar
+from highwater import GF, QQ
+from highwater.linalg import Rref, kernel_basis, mat_vec, zeros
+
+
+@pytest.fixture(params=[QQ, GF(7)], ids=lambda f: f"char{f.characteristic}")
+def field(request):
+    return request.param
+
+
+def _random_rows(field, rng, nrows, width):
+    """Random rows, about a third of them combinations of earlier ones."""
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.35:
+            row = zeros(field, width)
+            for other in rng.sample(rows, rng.randint(1, len(rows))):
+                c = random_scalar(field, rng)
+                row = [a + c * b for a, b in zip(row, other)]
+        else:
+            row = [random_scalar(field, rng) if rng.random() < 0.6
+                   else field.zero for _ in range(width)]
+        rows.append(row)
+    return rows
+
+
+def _combination(field, rng, rows, width):
+    out = zeros(field, width)
+    for row in rows:
+        c = random_scalar(field, rng)
+        out = [a + c * b for a, b in zip(out, row)]
+    return out
+
+
+def _cases(field, seed):
+    rng = random.Random(seed + field.characteristic)
+    for _ in range(25):
+        width = rng.randint(1, 9)
+        yield rng, width, _random_rows(field, rng, rng.randint(0, 8), width)
+
+
+def test_rows_are_reduced_and_sorted_by_pivot(field):
+    for _, _, rows in _cases(field, 11):
+        rr = Rref()
+        for row in rows:
+            rr.insert(row)
+        assert all(p < q for p, q in zip(rr.pivots, rr.pivots[1:]))
+        for row, piv in zip(rr.rows, rr.pivots):
+            assert next(i for i, a in enumerate(row) if a) == piv
+        for i, piv in enumerate(rr.pivots):
+            column = [row[piv] for row in rr.rows]
+            assert column == [field.one if j == i else field.zero
+                              for j in range(len(rr.rows))]
+
+
+def test_insert_rejects_span_members_and_keeps_rows(field):
+    for rng, width, rows in _cases(field, 23):
+        rr = Rref()
+        for row in rows:
+            rr.insert(row)
+        before = ([list(r) for r in rr.rows], list(rr.pivots))
+        assert not rr.insert(_combination(field, rng, rows, width))
+        assert not rr.insert(zeros(field, width))
+        assert (rr.rows, rr.pivots) == before
+
+
+def test_residue_of_span_member_is_zero(field):
+    for rng, width, rows in _cases(field, 37):
+        rr = Rref()
+        grew = [rr.insert(row) for row in rows]
+        member = _combination(field, rng, rows, width)
+        assert rr.residue(member) == zeros(field, width)
+        # the rows that grew the rank are independent of the earlier ones
+        assert sum(grew) == len(rr.rows)
+
+
+def test_kernel_basis_solves_and_has_full_size(field):
+    for _, width, rows in _cases(field, 53):
+        basis = kernel_basis(rows, field)
+        if not rows:
+            assert basis == []
+            continue
+        rr = Rref()
+        for row in rows:
+            rr.insert(row)
+        assert len(basis) == width - len(rr.rows)
+        for v in basis:
+            assert mat_vec(rows, v, field) == zeros(field, len(rows))
+        independent = Rref()
+        assert all(independent.insert(v) for v in basis)

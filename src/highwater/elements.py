@@ -131,13 +131,12 @@ class Element:
         if isinstance(other, Scalar):
             return self.scale(other)
         self._check(other)
-        char = self.field.characteristic
         acc: dict[Key, Scalar] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 c = c1 * c2
-                for k3, q in _key_product(char, k1, k2):
-                    v = c * self.field.from_fraction(q)
+                for k3, q in _key_product(self.field, k1, k2):
+                    v = c * q
                     old = acc.get(k3)
                     v = v if old is None else old + v
                     if v:
@@ -248,8 +247,8 @@ def from_terms(field: Field, terms) -> Element:
 # -- the product ------------------------------------------------------------
 #
 # Structure constants for products of basis keys, expressed over Q and
-# mapped into the working field on demand.  Results are cached per
-# characteristic since fusion and closure computations repeat key pairs
+# converted into the working field once per key pair.  Results are cached
+# per field since fusion and closure computations repeat key pairs
 # heavily.
 
 _HALF = Fraction(1, 2)
@@ -285,7 +284,7 @@ def _add_z(acc, r, k, q):
 
 
 @lru_cache(maxsize=None)
-def _key_product(char: int, k1: Key, k2: Key) -> tuple[tuple[Key, Fraction], ...]:
+def _key_product(field: Field, k1: Key, k2: Key) -> tuple[tuple[Key, Scalar], ...]:
     if key_sort(k1) > key_sort(k2):
         k1, k2 = k2, k1
     acc: dict[Key, Fraction] = {}
@@ -326,7 +325,7 @@ def _key_product(char: int, k1: Key, k2: Key) -> tuple[tuple[Key, Fraction], ...
         _add_z(acc, u, k, _Q14)
         _add_z(acc, u, abs(h - k), -_Q18)
         _add_z(acc, u, h + k, -_Q18)
-    return tuple(acc.items())
+    return tuple((key, field.from_fraction(q)) for key, q in acc.items())
 
 
 # -- automorphisms ------------------------------------------------------------

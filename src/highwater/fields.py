@@ -16,19 +16,27 @@ class FieldMismatchError(ValueError):
 
 
 class BadCharacteristicError(ValueError):
-    """Raised for characteristic 2 or 3 (where the algebra is undefined)."""
+    """Raised for a characteristic other than 0 or a prime 5 <= p < 2^64."""
+
+
+# Miller-Rabin with these bases is exact for n < 3.18e23 (Sorenson and
+# Webster 2017), well above the largest characteristic a Field accepts.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
+    for b in _WITNESSES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _WITNESSES:
+        x = pow(b, d, n)
+        if x != 1 and all(pow(x, 2 ** k, n) != n - 1 for k in range(s)):
+            return False  # b witnesses that n is composite
     return True
 
 
@@ -45,6 +53,9 @@ class Field:
         if characteristic in (2, 3):
             raise BadCharacteristicError(
                 "characteristic 2 and 3 are not supported")
+        if characteristic >= 2 ** 64:
+            raise BadCharacteristicError(
+                f"characteristic must be below 2^64, got {characteristic}")
         if characteristic != 0 and not _is_prime(characteristic):
             raise BadCharacteristicError(
                 f"characteristic must be 0 or prime, got {characteristic}")

@@ -9,6 +9,8 @@ Miyamoto orbit machinery, and a battery of hand-checked small quotients.
 
 from __future__ import annotations
 
+from math import gcd
+
 from . import elements as el
 from . import linalg
 from .eigen import fusion_law
@@ -204,62 +206,44 @@ class AxisOrbit:
         self.miyamoto_group_order = miyamoto_group_order
 
 
-def _dihedral_order(q: FiniteAlgebra, taus, gens, cap: int):
-    """Order of the group generated by the two involutions ``taus``."""
-    field = q.field
-    trivial = [t == _identity(field, q.dim) for t in taus]
-    if all(trivial):
-        return 1
-    if any(trivial):
-        return 2
-    imgs = gens
-    for m in range(1, cap // 2 + 1):
-        imgs = [linalg.mat_vec(taus[0], linalg.mat_vec(taus[1], v, field),
-                               field) for v in imgs]
-        if imgs == gens:
-            return 2 * m
-    return "unbounded at cutoff"
-
-
 def axis_orbit(q: FiniteAlgebra, cutoff: int) -> AxisOrbit:
     """Orbit of the images of a(0) and a(1) under their Miyamoto maps.
 
-    The quotient is generated by the two axis images, so its Miyamoto
-    group is the dihedral group generated by tau0 and tau1: the map of
-    the image g(a) of an axis is g tau_a g^-1.  Only tau0 and tau1 are
-    built, and the orbit is found by a breadth-first search by layers
-    under them.  It is closed when it has at most ``cutoff`` axes;
-    otherwise the search stops at the first layer that passes the cutoff,
-    and how many axes an open orbit lists is not fixed.
+    The Miyamoto map of a(i) is the reflection of subscripts about i, and
+    every ideal is invariant under it, so tau0 sends the image of a(i) to
+    that of a(-i) and tau1 sends it to that of a(2 - i).  The pure-a part
+    of an ideal is a principal Laurent ideal, invariant under translation,
+    so the images of a(i) and a(j) agree exactly when the orbit size n
+    divides i - j.  The quotient is generated by the two axis images, so
+    its Miyamoto group acts faithfully on the subscripts mod n: it is
+    trivial when n <= 2 (tau0 = I exactly when tau1 = I), and otherwise
+    dihedral of order 2n / gcd(n, 2), since tau0*tau1 translates by 2.
 
-    The group order is read off without multiplying matrices: 1 when
-    tau0 = tau1 = I, 2 when exactly one of them is I, and otherwise 2m,
-    where m is the order of tau0*tau1.  The two generators determine a
-    map of the quotient, so m is found by iterating tau0*tau1 on them.
-    An open orbit, or an order above max(4*cutoff, 64), gives
-    "unbounded at cutoff".
+    The orbit is found by a breadth-first search by layers from the
+    subscripts 0 and 1, expanding each new i to -i, then 2 - i.  It is
+    closed when it has at most ``cutoff`` axes; otherwise the search stops
+    at the first layer past the cutoff, the group order is "unbounded at
+    cutoff", and how many axes an open orbit lists is not fixed.
     """
-    field = q.field
-    gens = [q.to_vector(el.axis(field, i)) for i in (0, 1)]
-    taus = [miyamoto_matrix(q, v) for v in gens]
-    if None in taus:  # pragma: no cover - axes always decompose
-        raise QuotientError("axis image without total eigendecomposition")
+    images: dict[int, list[Scalar]] = {}
     axes = []
     seen = set()
-    layer = gens
+    layer = [0, 1]
     while layer and len(axes) <= cutoff:
         fresh = []
-        for v in layer:
-            if tuple(v) not in seen:
-                seen.add(tuple(v))
-                fresh.append(v)
-        axes.extend(fresh)
-        layer = [linalg.mat_vec(t, v, field) for v in fresh for t in taus]
-    closed = len(axes) <= cutoff
-
-    order = (_dihedral_order(q, taus, gens, max(4 * cutoff, 64)) if closed
-             else "unbounded at cutoff")
-    return AxisOrbit(axes, closed, order)
+        for i in layer:
+            if i not in images:
+                images[i] = q.to_vector(el.axis(q.field, i))
+            key = tuple(images[i])
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        axes.extend(images[i] for i in fresh)
+        layer = [j for i in fresh for j in (-i, 2 - i)]
+    n = len(axes)
+    if n > cutoff:
+        return AxisOrbit(axes, False, "unbounded at cutoff")
+    return AxisOrbit(axes, True, 1 if n <= 2 else 2 * n // gcd(n, 2))
 
 
 # -- the standard families -------------------------------------------------------

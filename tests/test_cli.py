@@ -123,6 +123,19 @@ def _one_line_usage_error(code, out, err):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("char", [str(2**64 + 13),
+                                  str((10**9 + 7) * (10**9 + 9))])
+def test_large_characteristic_rejected(capsys, char):
+    _one_line_usage_error(*run(capsys, "weight", "--char", char, "a(0)"))
+
+
+def test_large_prime_characteristic(capsys):
+    code, payload = run_json(capsys, "weight", "--char",
+                             "1000000000000000003", "a(0) + 2*a(1)")
+    assert code == 0
+    assert payload["weight"] == "3"
+
+
 def test_coefficient_undefined_in_characteristic(capsys):
     _one_line_usage_error(
         *run(capsys, "mul", "--char", "5", "1/5*a(0)", "a(1)"))

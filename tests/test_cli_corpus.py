@@ -1,21 +1,27 @@
 """Golden corpus of CLI JSON outputs, compared byte for byte.
 
-Each case runs one ``--format json`` invocation in process and compares its
-standard output with ``tests/data/cli_corpus/<name>.json``.  To rewrite the
-corpus after an intended change of output, run this file as a script::
+Each case runs one ``--format json`` invocation in process, compares its
+standard output with ``tests/data/cli_corpus/<name>.json`` and validates it
+against the CLI output schema.  To rewrite the corpus after an intended
+change of output, run this file as a script::
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 """
 
 import io
+import json
 import pathlib
 from contextlib import redirect_stdout
+from importlib.resources import files
 
+import jsonschema
 import pytest
 
 from highwater.cli import main
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "cli_corpus"
+SCHEMA = json.loads(
+    files("highwater.schemas").joinpath("cli_output.json").read_text())
 
 CASES = {
     "mul_char7": ["mul", "--char", "7", "2*a(-1) + s(2)", "a(3) - p(1,3)"],
@@ -54,6 +60,7 @@ def test_cli_output_matches_corpus(name):
     code, out = run_case(name)
     assert code == 0
     assert out == (CORPUS / f"{name}.json").read_text()
+    jsonschema.validate(json.loads(out), SCHEMA)
 
 
 def test_corpus_has_no_stray_files():

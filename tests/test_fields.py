@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,35 @@ def test_field_singletons():
 def test_bad_characteristic_rejected(bad):
     with pytest.raises(BadCharacteristicError):
         Field(bad)
+
+
+# 3215031751 and 3825123056546413051 are strong pseudoprimes to the bases
+# 2..7 and 2..23; 2^64 + 13, the first prime above 2^64, is too large
+@pytest.mark.parametrize("p,prime", [
+    (10**18 + 3, True),
+    ((10**9 + 7) * (10**9 + 9), False),
+    (3215031751, False),
+    (3825123056546413051, False),
+    (2**64 + 13, False),
+])
+def test_large_characteristic_decided_fast(p, prime):
+    start = time.perf_counter()
+    if prime:
+        assert Field(p).characteristic == p
+    else:
+        with pytest.raises(BadCharacteristicError):
+            Field(p)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_small_characteristics_match_trial_division():
+    for n in range(5, 5000):
+        composite = any(n % d == 0 for d in range(2, int(n**0.5) + 1))
+        if composite:
+            with pytest.raises(BadCharacteristicError):
+                Field(n)
+        else:
+            assert Field(n).characteristic == n
 
 
 def test_rational_arithmetic():

@@ -1,17 +1,15 @@
 import random
-from types import SimpleNamespace
 
 import pytest
 
 import highwater.elements as el
 import highwater.linalg as linalg
+import highwater.quotients as quotients
 from highwater import GF, QQ
 from highwater.ideals import ideal_of
 from highwater.quotients import (AxisOrbit, FiniteAlgebra, QuotientError,
                                  axis_orbit, eigenspace_split, family_Hn,
                                  family_Ln, miyamoto_matrix, small_quotient_suite)
-
-from highwater.quotients import _dihedral_order
 
 from conftest import random_element
 
@@ -189,31 +187,68 @@ def test_every_orbit_axis_permutes_the_orbit(family, n, F, want):
         assert {tuple(linalg.mat_vec(m, w, F)) for w in o.axes} == orbit
 
 
-def _perm(field, images):
-    n = len(images)
-    return [[field.one if images[j] == i else field.zero for j in range(n)]
-            for i in range(n)]
+@pytest.mark.parametrize("family,n,F,want", ORBITS, ids=ORBIT_IDS)
+def test_orbit_builds_no_matrix(monkeypatch, family, n, F, want):
+    q = _orbit_quotient(family, n, F)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("matrix work on the orbit path")
+
+    monkeypatch.setattr(quotients, "miyamoto_matrix", boom)
+    monkeypatch.setattr(FiniteAlgebra, "adjoint", boom)
+    monkeypatch.setattr(linalg, "mat_mul", boom)
+    monkeypatch.setattr(linalg, "mat_vec", boom)
+    o = axis_orbit(q, 30)
+    assert (o.closed, len(o.axes), o.miyamoto_group_order) == want
 
 
-@pytest.mark.parametrize("t0,t1,want", [
-    ((0, 1, 2), (0, 1, 2), 1),
-    ((1, 0, 2), (0, 1, 2), 2),
-    ((0, 1, 2), (0, 2, 1), 2),
-    ((1, 0, 2), (1, 0, 2), 2),
-    ((1, 0, 2), (0, 2, 1), 6),
-])
-def test_dihedral_order_of_two_involutions(t0, t1, want):
-    # permutations of three coordinates; e0 and e1 stand for the generators
-    F = GF(7)
-    q = SimpleNamespace(field=F, dim=3)
-    gens = [[F.one, F.zero, F.zero], [F.zero, F.one, F.zero]]
-    taus = [_perm(F, t0), _perm(F, t1)]
-    assert _dihedral_order(q, taus, gens, 64) == want
-    if want > 2:
-        # the cap bounds the group order, not the order of tau0*tau1
-        assert _dihedral_order(q, taus, gens, want) == want
-        assert _dihedral_order(q, taus, gens, want - 1) == \
-            "unbounded at cutoff"
+def _brute_force_group(q, cap):
+    """The group generated by tau0 and tau1 as matrices, or None when it
+    has more than ``cap`` elements."""
+    F = q.field
+    taus = [miyamoto_matrix(q, q.to_vector(A(F, i))) for i in (0, 1)]
+    assert None not in taus
+    ident = [[F.one if i == j else F.zero for j in range(q.dim)]
+             for i in range(q.dim)]
+    group = {tuple(map(tuple, ident))}
+    frontier = [ident]
+    while frontier:
+        g = frontier.pop()
+        for t in taus:
+            h = linalg.mat_mul(g, t, F)
+            key = tuple(map(tuple, h))
+            if key not in group:
+                if len(group) == cap:
+                    return None
+                group.add(key)
+                frontier.append(h)
+    return group
+
+
+def _brute_force_quotients(F):
+    return ([family_Hn(n, F, collapse_j=True) for n in range(1, 7)]
+            + [family_Hn(n, F) for n in (3, 6)]
+            + [family_Ln(n, F, collapse_j=c) for n in (1, 2)
+               for c in (True, False)])
+
+
+@pytest.mark.parametrize("F", [QQ, GF(5), GF(7), GF(11)],
+                         ids=["char0", "char5", "char7", "char11"])
+def test_orbit_matches_brute_force_group(F):
+    for q in _brute_force_quotients(F):
+        o = axis_orbit(q, 30)
+        group = _brute_force_group(q, 200)
+        if group is None:
+            assert not o.closed
+            assert o.miyamoto_group_order == "unbounded at cutoff"
+            continue
+        gens = [q.to_vector(A(F, i)) for i in (0, 1)]
+        orbit = {tuple(linalg.mat_vec(g, v, F)) for g in group for v in gens}
+        assert o.closed == (len(orbit) <= 30)
+        if o.closed:
+            assert len(o.axes) == len(orbit)
+            assert {tuple(v) for v in o.axes} == orbit
+            assert o.miyamoto_group_order == len(group)
 
 
 def test_miyamoto_matrix_negates_exactly_the_half_space(field):

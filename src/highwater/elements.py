@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterator
 
 from .fields import Field, FieldMismatchError, Scalar
@@ -131,19 +132,48 @@ class Element:
         if isinstance(other, Scalar):
             return self.scale(other)
         self._check(other)
-        acc: dict[Key, Scalar] = {}
+        field = self.field
+        p = field.characteristic
+        # over Q, clear denominators: self = X/dx and other = Y/dy with X
+        # and Y integral; over F_p the values are ints already
+        dx = dy = 1
+        if not p:
+            dx = lcm(*(c.value.denominator for c in self.terms.values()))
+            dy = lcm(*(c.value.denominator for c in other.terms.values()))
+        right = [(k, c.value.numerator * (dy // c.value.denominator))
+                 for k, c in other.terms.items()]
+        acc: dict[Key, int] = {}
+        get = acc.get
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                c = c1 * c2
-                for k3, q in _key_product(self.field, k1, k2):
-                    v = c * q
-                    old = acc.get(k3)
-                    v = v if old is None else old + v
-                    if v:
-                        acc[k3] = v
-                    else:
-                        acc.pop(k3, None)
-        return Element(self.field, acc)
+            n1 = c1.value.numerator * (dx // c1.value.denominator)
+            for k2, n2 in right:
+                # translate the pair by a multiple of 3 taken from its axis
+                # subscript; see the comment above _merge
+                if k1[0] == "a":
+                    t = k1[1] - k1[1] % 3
+                elif k2[0] == "a":
+                    t = k2[1] - k2[1] % 3
+                else:
+                    t = 0
+                c = n1 * n2
+                for k3, n in _key_product(
+                        ("a", k1[1] - t) if k1[0] == "a" else k1,
+                        ("a", k2[1] - t) if k2[0] == "a" else k2):
+                    if k3[0] == "a":
+                        k3 = ("a", k3[1] + t)
+                    acc[k3] = get(k3, 0) + c * n
+        out = {}
+        if p:
+            inv = pow(8, -1, p)
+            for k, n in acc.items():
+                if n := n * inv % p:
+                    out[k] = Scalar(field, n)
+        else:
+            den = 8 * dx * dy
+            for k, n in acc.items():
+                if n:
+                    out[k] = Scalar(field, Fraction(n, den))
+        return Element(field, out)
 
     # -- structural queries --------------------------------------------------
 
@@ -246,86 +276,90 @@ def from_terms(field: Field, terms) -> Element:
 
 # -- the product ------------------------------------------------------------
 #
-# Structure constants for products of basis keys, expressed over Q and
-# converted into the working field once per key pair.  Results are cached
-# per field since fusion and closure computations repeat key pairs
-# heavily.
+# Every structure constant is a multiple of 1/8, so _key_product returns
+# the product of two basis keys as (key, n) pairs meaning the sum of
+# n/8 * key.  These integers are the same in every field: Element.__mul__
+# accumulates them as plain ints and makes one field value per output
+# key.  The cache is keyed on key pairs alone and shared by all fields.
+#
+# The translation theta(t) by a multiple t of 3 is an automorphism that
+# shifts axis subscripts by t and fixes every s and p key, because it
+# fixes the residues mod 3 that decide the p-terms.  So a(i) * k is
+# a(i mod 3) * k' with every axis of the result shifted by t = i - i mod 3,
+# where k' is k shifted by -t.  Element.__mul__ looks pairs up in that
+# reduced form, so the cache depends on subscript differences and
+# residues, not on absolute subscripts: it stays bounded however far
+# from 0 the products run.
 
-_HALF = Fraction(1, 2)
-_Q38 = Fraction(3, 8)
-_Q34 = Fraction(3, 4)
-_Q32 = Fraction(3, 2)
-_Q14 = Fraction(1, 4)
-_Q18 = Fraction(1, 8)
 
-
-def _merge(acc: dict, key: Key, q: Fraction):
-    v = acc.get(key, 0) + q
+def _merge(acc: dict, key: Key, n: int):
+    v = acc.get(key, 0) + n
     if v:
         acc[key] = v
     else:
         acc.pop(key, None)
 
 
-def _add_sigma(acc, j, q):
+def _add_sigma(acc, j, n):
     j = abs(j)
     if j:
-        _merge(acc, ("s", j), q)
+        _merge(acc, ("s", j), n)
 
 
-def _add_p(acc, r, k, q):
+def _add_p(acc, r, k, n):
     for key, c in _p_terms(r, k):
-        _merge(acc, key, q * c)
+        _merge(acc, key, n * c)
 
 
-def _add_z(acc, r, k, q):
+def _add_z(acc, r, k, n):
     for key, c in _z_terms(r, k):
-        _merge(acc, key, q * c)
+        _merge(acc, key, n * c)
 
 
 @lru_cache(maxsize=None)
-def _key_product(field: Field, k1: Key, k2: Key) -> tuple[tuple[Key, Scalar], ...]:
+def _key_product(k1: Key, k2: Key) -> tuple[tuple[Key, int], ...]:
+    """k1 * k2 as (key, n) pairs: the sum of n/8 * key."""
     if key_sort(k1) > key_sort(k2):
         k1, k2 = k2, k1
-    acc: dict[Key, Fraction] = {}
+    acc: dict[Key, int] = {}
     if k1[0] == "a" and k2[0] == "a":
         i, j = k1[1], k2[1]
         d = abs(i - j)
-        _merge(acc, ("a", i), _HALF)
-        _merge(acc, ("a", j), _HALF)
-        _add_sigma(acc, d, Fraction(1))
-        _add_z(acc, i, d, Fraction(1))
+        _merge(acc, ("a", i), 4)
+        _merge(acc, ("a", j), 4)
+        _add_sigma(acc, d, 8)
+        _add_z(acc, i, d, 8)
     elif k1[0] == "a" and k2[0] == "s":
         i, j = k1[1], k2[1]
-        _merge(acc, ("a", i), -_Q34)
-        _merge(acc, ("a", i - j), _Q38)
-        _merge(acc, ("a", i + j), _Q38)
-        _add_sigma(acc, j, _Q32)
-        _add_z(acc, i, j, Fraction(-1))
+        _merge(acc, ("a", i), -6)
+        _merge(acc, ("a", i - j), 3)
+        _merge(acc, ("a", i + j), 3)
+        _add_sigma(acc, j, 12)
+        _add_z(acc, i, j, -8)
     elif k1[0] == "a" and k2[0] == "p":
         i, (r, k) = k1[1], (k2[1], k2[2])
-        _add_p(acc, r, k, _Q32)
-        _add_p(acc, -(i + r), k, Fraction(-1))
+        _add_p(acc, r, k, 12)
+        _add_p(acc, -(i + r), k, -8)
     elif k1[0] == "s" and k2[0] == "s":
         j, l = k1[1], k2[1]
-        _add_sigma(acc, j, _Q34)
-        _add_sigma(acc, l, _Q34)
-        _add_sigma(acc, abs(j - l), -_Q38)
-        _add_sigma(acc, j + l, -_Q38)
+        _add_sigma(acc, j, 6)
+        _add_sigma(acc, l, 6)
+        _add_sigma(acc, abs(j - l), -3)
+        _add_sigma(acc, j + l, -3)
     elif k1[0] == "s" and k2[0] == "p":
         j, (r, k) = k1[1], (k2[1], k2[2])
-        _add_p(acc, r, j, _Q34)
-        _add_p(acc, r, k, _Q34)
-        _add_p(acc, r, abs(j - k), -_Q38)
-        _add_p(acc, r, j + k, -_Q38)
+        _add_p(acc, r, j, 6)
+        _add_p(acc, r, k, 6)
+        _add_p(acc, r, abs(j - k), -3)
+        _add_p(acc, r, j + k, -3)
     else:  # p * p
         (r, h), (t, k) = (k1[1], k1[2]), (k2[1], k2[2])
         u = -(r + t)
-        _add_z(acc, u, h, _Q14)
-        _add_z(acc, u, k, _Q14)
-        _add_z(acc, u, abs(h - k), -_Q18)
-        _add_z(acc, u, h + k, -_Q18)
-    return tuple((key, field.from_fraction(q)) for key, q in acc.items())
+        _add_z(acc, u, h, 2)
+        _add_z(acc, u, k, 2)
+        _add_z(acc, u, abs(h - k), -1)
+        _add_z(acc, u, h + k, -1)
+    return tuple(acc.items())
 
 
 # -- automorphisms ------------------------------------------------------------
@@ -415,10 +449,8 @@ def apply(aut: Automorphism, x: Element) -> Element:
             put(key, c)
         else:
             r, k = key[1], key[2]
-            new_r = aut.sign * r + aut.shift
-            cc = c if aut.sign == 1 else -c
-            for pk, q in _p_terms(new_r, k):
-                put(pk, cc * field.scalar(q))
+            for pk, q in _p_terms(aut.sign * r + aut.shift, k):
+                put(pk, c if aut.sign * q == 1 else -c)  # q is +1 or -1
     return Element(field, out)
 
 

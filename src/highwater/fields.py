@@ -43,7 +43,7 @@ def _is_prime(n: int) -> bool:
 class Field:
     """The rationals (characteristic 0) or F_p for a prime p >= 5."""
 
-    __slots__ = ("characteristic",)
+    __slots__ = ("characteristic", "zero", "one")
 
     _cache: dict[int, "Field"] = {}
 
@@ -61,6 +61,9 @@ class Field:
                 f"characteristic must be 0 or prime, got {characteristic}")
         self = object.__new__(cls)
         object.__setattr__(self, "characteristic", characteristic)
+        # built once: hot loops start sums and vectors from these
+        object.__setattr__(self, "zero", self.from_fraction(0))
+        object.__setattr__(self, "one", self.from_fraction(1))
         cls._cache[characteristic] = self
         return self
 
@@ -94,14 +97,6 @@ class Field:
             raise ZeroDivisionError(
                 f"denominator {q.denominator} is 0 mod {p}")
         return Scalar(self, q.numerator * pow(den, -1, p) % p)
-
-    @property
-    def zero(self) -> "Scalar":
-        return self.scalar(0)
-
-    @property
-    def one(self) -> "Scalar":
-        return self.scalar(1)
 
 
 class Scalar:

@@ -25,6 +25,14 @@ SCHEMA = json.loads(
 
 CASES = {
     "mul_char7": ["mul", "--char", "7", "2*a(-1) + s(2)", "a(3) - p(1,3)"],
+    "mul_far_char7": ["mul", "--char", "7", "a(100001) + 1/2*s(2)",
+                      "a(100004) - p(2,3)"],
+    "mul_far_char0": ["mul", "--char", "0",
+                      "a(-299999) - 2/3*a(-299997) + s(4) + p(2,6)",
+                      "a(-299998) + 3*p(1,6) - 1/4*s(1)"],
+    "mul_far_mixed_char0": ["mul", "--char", "0",
+                            "a(1000000) + a(1000001) + a(1000002)",
+                            "a(-999999) - p(1,3) + 5*p(2,9)"],
     "weight_char5": ["weight", "--char", "5", "3*a(2) + a(7) + s(1)"],
     "eigen_axis2_char0": ["eigen", "--char", "0", "a(1) + s(1)",
                           "--axis", "2"],

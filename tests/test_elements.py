@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -75,6 +76,65 @@ def test_product_p_p():
         - (P(QQ, 1, 6) + P(QQ, 2, 6).scale(QQ.scalar(2))).scale(
             QQ.scalar(1, 8))
     assert P(QQ, 1, 3) * P(QQ, 1, 3) == expect
+
+
+# -- products far from the origin -------------------------------------------------
+#
+# For N = 10^6 + r, the residue N mod 3 is (1 + r) mod 3.  By residue:
+# zed(N, 3) spelt out on (p(1,3), p(2,3)), and a(N) * p(1,3) likewise.
+_FAR = {
+    0: ((1, 2), (Fraction(1, 2), 0)),
+    1: ((-2, -1), (Fraction(5, 2), 1)),
+    2: ((1, -1), (Fraction(3, 2), -1)),
+}
+
+
+def _p3(F, c1, c2):
+    return el.from_terms(F, [(("p", 1, 3), c1), (("p", 2, 3), c2)])
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_frozen_products_far_from_origin(field, r):
+    N = 10 ** 6 + r
+    zed3, ap = _FAR[r]
+    half, q38, q34, q32 = (Fraction(1, 2), Fraction(3, 8), Fraction(3, 4),
+                           Fraction(3, 2))
+    assert A(field, N) * A(field, N + 3) == el.from_terms(field, [
+        (("a", N), half), (("a", N + 3), half), (("s", 3), 1)]) \
+        + _p3(field, *zed3)
+    assert A(field, N) * S(field, 2) == el.from_terms(field, [
+        (("a", N), -q34), (("a", N - 2), q38), (("a", N + 2), q38),
+        (("s", 2), q32)])
+    assert A(field, N) * S(field, 3) == el.from_terms(field, [
+        (("a", N), -q34), (("a", N - 3), q38), (("a", N + 3), q38),
+        (("s", 3), q32)]) - _p3(field, *zed3)
+    assert A(field, N) * P(field, 1, 3) == _p3(field, *ap)
+
+
+def test_key_product_cache_stays_bounded():
+    terms = [(("a", i), c) for i, c in ((-4, 1), (-1, 2), (0, -3), (2, 1),
+                                        (5, Fraction(1, 2)))]
+    terms += [(("s", j), c) for j, c in ((1, 1), (2, -2), (4, 3))]
+    terms += [(("p", r, k), c) for r, k, c in ((1, 3, 1), (2, 3, -1),
+                                               (1, 6, 2), (2, 9, 4))]
+    mirror = [(k if k[0] != "a" else ("a", 3 - k[1]), c) for k, c in terms]
+    pairs = [(el.from_terms(F, terms), el.from_terms(F, mirror))
+             for F in FIELDS]
+    assert all(len(x.terms) == len(y.terms) == 12 for x, y in pairs)
+
+    def multiply_at(shift):
+        for x, y in pairs:
+            aut = el.theta(shift)
+            el.apply(aut, x) * el.apply(aut, y)
+
+    el._key_product.cache_clear()
+    for r in (0, 1, 2):
+        multiply_at(r)
+    size = el._key_product.cache_info().currsize
+    for r in (0, 1, 2):
+        multiply_at(3 * 10 ** 5 + r)
+        multiply_at(-3 * 10 ** 9 + r)
+    assert el._key_product.cache_info().currsize == size
 
 
 # -- vector-space operations ------------------------------------------------------
@@ -172,6 +232,10 @@ def test_miyamoto_is_even_reflection():
 def test_automorphisms_multiplicative(field):
     rng = random.Random(11)
     auts = [el.tau(0), el.tau(1), el.tau(3), el.theta(2), el.miyamoto(-1)]
+    # far from the origin, at every residue mod 3
+    for j in (3 * 10 ** 8, 3 * 10 ** 8 + 1, 3 * 10 ** 8 + 2,
+              -10 ** 9, -10 ** 9 + 1, -10 ** 9 + 2):
+        auts += [el.theta(j), el.tau(j)]
     for _ in range(10):
         x = random_element(field, rng, support=4)
         y = random_element(field, rng, support=4)

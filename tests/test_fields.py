@@ -13,6 +13,17 @@ def test_field_singletons():
     assert Field(5) is GF(5)
 
 
+@pytest.mark.parametrize("F", [QQ, GF(5), GF(10 ** 9 + 7)],
+                         ids=["char0", "char5", "char1e9+7"])
+def test_zero_and_one_built_once(F):
+    assert F.zero is F.zero and F.one is F.one
+    assert F.zero == F.scalar(0) and F.one == F.scalar(1)
+    for c in (F.zero, F.one):
+        assert type(c.value) is (Fraction if F is QQ else int)
+    with pytest.raises(AttributeError):
+        F.zero = F.one
+
+
 @pytest.mark.parametrize("bad", [2, 3, 4, 6, 9, 15, -1])
 def test_bad_characteristic_rejected(bad):
     with pytest.raises(BadCharacteristicError):

@@ -318,6 +318,12 @@ class PatternIdeal:
     spanning the part of the ideal beyond the minimal one; it starts
     empty and ``ideal_of`` fills it.  Its pivots are the survivor keys
     that the extension eliminates.
+
+    The reduction path works on raw field values (ints in ``range(p)``,
+    or ``Fraction``s over Q): ``reduce_core`` takes and returns a
+    ``{key: value}`` dict, ``to_vector`` and the ``extension`` rows hold
+    raw values, and ``from_vector``, ``reduce`` and the family methods
+    return ``Element``s.
     """
 
     def __init__(self, field: Field, alpha, epsilon: int, contains_j: bool):
@@ -325,19 +331,28 @@ class PatternIdeal:
         if len(alpha) < 2 or not alpha[0] or alpha[-1] != field.one:
             raise IdealArgumentError("pattern must be monic of degree >= 1")
         self.field = field
+        self.p = field.characteristic
         self.alpha = alpha
         self.epsilon = epsilon
         self.contains_j = contains_j
         self.survivor_keys = self._survivors()
         self._key_pos = {k: i for i, k in enumerate(self.survivor_keys)}
-        self.extension = Rref()
+        self.extension = Rref(self.p)
+        # raw values for reduce_core: (j, alpha_j) for the nonzero
+        # alpha_j, 1/alpha_0 and 1/2
+        self._support = [(j, c.value) for j, c in enumerate(alpha) if c]
+        self._a0_inv = alpha[0].inverse().value
+        self._half = field.scalar(1, 2).value
+        # the lowest s- and p-level that the families reduce
+        d = self.degree
+        self._cutoff = d // 2 if d % 2 == 0 and epsilon == 1 else d // 2 + 1
 
     @property
     def degree(self) -> int:
         return len(self.alpha) - 1
 
     @property
-    def extension_rows(self) -> list[list[Scalar]]:
+    def extension_rows(self) -> list[list]:
         return self.extension.rows
 
     def _survivors(self) -> list:
@@ -358,95 +373,87 @@ class PatternIdeal:
 
     # -- the three spanning families ------------------------------------
 
-    def _alpha_at(self, i: int) -> Scalar:
-        if 0 <= i <= self.degree:
-            return self.alpha[i]
-        return self.field.zero
+    def _fold(self, k: int, step: int) -> dict:
+        """Raw coefficients by level of sum_j alpha_j at level |k - j|.
+
+        Only levels that are positive multiples of ``step`` are kept:
+        step 1 gives the s-family member y_k, step 3 the p-family
+        member p_k.  Both have top level D - k when k <= D/2.
+        """
+        p = self.p
+        out = {}
+        for j, c in self._support:
+            i = abs(k - j)
+            if i and not i % step:
+                c += out.get(i, 0)
+                out[i] = c % p if p else c
+        return {i: c for i, c in out.items() if c}
+
+    def _element(self, terms: dict) -> el.Element:
+        field = self.field
+        return el.Element(field, {k: Scalar(field, c)
+                                  for k, c in terms.items()})
 
     def x_family(self, k: int) -> el.Element:
         """Shifted pattern element: sum_i alpha[i] a(i + k)."""
-        return el.Element(self.field,
-                          {("a", i + k): c for i, c in enumerate(self.alpha)
-                           if c})
+        return self._element({("a", j + k): c for j, c in self._support})
 
     def y_family(self, k: int) -> el.Element:
-        """Folded s-element with top level D - k (for k <= D/2)."""
-        terms = {}
-        for i in range(1, max(abs(k), self.degree - k) + 1):
-            c = self._alpha_at(k - i) + self._alpha_at(k + i)
-            if c:
-                terms[("s", i)] = c
-        return el.Element(self.field, terms)
+        """Folded s-element y_k = sum_j alpha_j s(|k - j|)."""
+        return self._element({("s", i): c
+                              for i, c in self._fold(k, 1).items()})
 
     def p_family(self, k: int, residue: int) -> el.Element:
-        """Folded p-element at residue 1 or 2 with top level D - k."""
-        terms = {}
-        for i in range(3, max(abs(k), self.degree - k) + 1, 3):
-            c = self._alpha_at(k - i) + self._alpha_at(k + i)
-            if c:
-                terms[("p", residue, i)] = c
-        return el.Element(self.field, terms)
+        """Folded p-element sum_j alpha_j p(residue, |k - j|), 3 | k - j."""
+        return self._element({("p", residue, i): c
+                              for i, c in self._fold(k, 3).items()})
 
     # -- reduction -------------------------------------------------------
 
-    def _tail_coeff(self, level: int) -> Scalar:
-        """Top coefficient of the y/p family member with top level ``level``."""
-        return self._alpha_at(self.degree - 2 * level) + self.field.one
-
-    def _reducible_level(self, level: int) -> bool:
-        twice = 2 * level
-        if twice > self.degree:
-            return True
-        return twice == self.degree and self.epsilon == 1
-
-    def reduce_core(self, x: el.Element) -> el.Element:
-        """Reduce against the minimal-ideal families only."""
-        d = self.degree
-        rem = x
+    def reduce_core(self, rem: dict) -> dict:
+        """Reduce raw terms ``{key: value}`` against the minimal-ideal
+        families only, in place; returns ``rem``."""
+        d, p, half = self.degree, self.p, self._half
+        support = self._support
         # a-part into the window [0, D-1]
         while True:
-            idx = [k[1] for k in rem.terms if k[0] == "a"]
+            idx = [k[1] for k in rem if k[0] == "a"]
             if not idx:
                 break
             m = max(idx)
             if m >= d:
-                rem = rem - self.x_family(m - d).scale(rem.coeff(("a", m)))
-                continue
-            lo = min(idx)
-            if lo < 0:
-                rem = rem - self.x_family(lo).scale(
-                    rem.coeff(("a", lo)) / self.alpha[0])
-                continue
-            break
-        # s-part below the survivor cutoff
-        while True:
-            levels = [k[1] for k in rem.terms if k[0] == "s"
-                      and self._reducible_level(k[1])]
-            if not levels:
-                break
-            n = max(levels)
-            rem = rem - self.y_family(d - n).scale(
-                rem.coeff(("s", n)) / self._tail_coeff(n))
-        # p-part: collapse entirely when J is inside, else reduce by family
-        if self.contains_j:
-            rem = rem - rem.part("p")
-        else:
-            while True:
-                levels = [k[2] for k in rem.terms if k[0] == "p"
-                          and self._reducible_level(k[2])]
-                if not levels:
+                k, c = m - d, rem[("a", m)]
+            else:
+                k = min(idx)
+                if k >= 0:
                     break
-                n = max(levels)
-                t = self._tail_coeff(n)
-                for r in (1, 2):
-                    c = rem.coeff(("p", r, n))
-                    if c:
-                        rem = rem - self.p_family(d - n, r).scale(c / t)
+                c = rem[("a", k)] * self._a0_inv
+            _subtract(rem, [(("a", j + k), a) for j, a in support], c, p)
+        # p-part: collapse entirely when J is inside
+        if self.contains_j:
+            for key in [k for k in rem if k[0] == "p"]:
+                del rem[key]
+        # s- and p-parts below the survivor cutoff, top level first; the
+        # family member with top level n has top coefficient
+        # alpha_{D-2n} + 1: 1 above D/2, and 2 at n = D/2, which is
+        # reducible only when epsilon = alpha_0 = 1
+        for kind, step in (("s", 1), ("p", 3)):
+            while True:
+                tops = [(k[-1], k) for k in rem
+                        if k[0] == kind and k[-1] >= self._cutoff]
+                if not tops:
+                    break
+                n, top = max(tops)
+                c = rem[top] * (half if 2 * n == d else 1)
+                fold = self._fold(d - n, step)
+                _subtract(rem, [(top[:-1] + (i,), b)
+                                for i, b in fold.items()], c, p)
         return rem
 
-    def to_vector(self, rep: el.Element) -> list[Scalar]:
-        vec = [self.field.zero] * len(self.survivor_keys)
-        for key, c in rep.terms.items():
+    def to_vector(self, rem: dict) -> list:
+        """Raw coordinates over ``survivor_keys`` of reduced raw terms."""
+        vec = [0] * len(self.survivor_keys)
+        for key, c in rem.items():
             pos = self._key_pos.get(key)
             if pos is None:  # pragma: no cover - reduce_core precludes this
                 raise IdealArgumentError(f"key {key} outside survivor span")
@@ -454,15 +461,30 @@ class PatternIdeal:
         return vec
 
     def from_vector(self, vec) -> el.Element:
-        return el.Element(self.field,
-                          {k: c for k, c in zip(self.survivor_keys, vec)
-                           if c})
+        """The element with raw coordinates ``vec`` over ``survivor_keys``."""
+        return self._element({k: c for k, c in zip(self.survivor_keys, vec)
+                              if c})
 
     def reduce(self, x: el.Element) -> el.Element:
-        rem = self.reduce_core(x)
-        if self.extension.rows:
-            rem = self.from_vector(self.extension.residue(self.to_vector(rem)))
-        return rem
+        vec = self.to_vector(self.reduce_core(_raw(x)))
+        return self.from_vector(self.extension.residue(vec))
+
+
+def _raw(x: el.Element) -> dict:
+    """The terms of x as raw field values."""
+    return {k: c.value for k, c in x.terms.items()}
+
+
+def _subtract(rem: dict, terms, c, p: int) -> None:
+    """rem -= c * terms on raw values, in place, dropping zeros."""
+    for key, b in terms:
+        v = rem.get(key, 0) - c * b
+        if p:
+            v %= p
+        if v:
+            rem[key] = v
+        else:
+            rem.pop(key, None)
 
 
 # -- the classification record --------------------------------------------------
@@ -571,17 +593,15 @@ def _closure(ideal: PatternIdeal, seeds: list[el.Element]) -> None:
     rr = ideal.extension
     queue = []
     for s in seeds:
-        vec = ideal.to_vector(ideal.reduce_core(s))
+        vec = ideal.to_vector(ideal.reduce_core(_raw(s)))
         if rr.insert(vec):
             queue.append(vec)
     basis_elems = [el.Element(field, {k: field.one})
                    for k in ideal.survivor_keys]
     while queue:
-        vec = queue.pop()
-        elem = ideal.from_vector(vec)
+        elem = ideal.from_vector(queue.pop())
         for b in basis_elems:
-            prod = ideal.reduce_core(elem * b)
-            w = ideal.to_vector(prod)
+            w = ideal.to_vector(ideal.reduce_core(_raw(elem * b)))
             if rr.insert(w):
                 queue.append(w)
 
@@ -594,7 +614,7 @@ def _pure_a_classes(ideal: PatternIdeal) -> list[el.Element]:
     """
     d = ideal.degree
     tail = len(ideal.survivor_keys) - d
-    rr = Rref()
+    rr = Rref(ideal.p)
     for row in ideal.extension.rows:
         rr.insert(row[d:] + row[:d])
     return [ideal.from_vector(row[tail:] + row[:tail])

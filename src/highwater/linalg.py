@@ -1,4 +1,9 @@
-"""Tiny exact linear algebra over a Field (dense, list-of-lists)."""
+"""Tiny exact linear algebra over a Field (dense, list-of-lists).
+
+The matrix helpers and ``kernel_basis`` take and return ``Scalar``s.
+``Rref`` works on raw field values (ints mod p, or ``Fraction``s over Q)
+because the reduction path of ``ideals`` feeds it directly.
+"""
 
 from __future__ import annotations
 
@@ -41,22 +46,30 @@ def mat_mul(a: Mat, b: Mat, field: Field) -> Mat:
 class Rref:
     """A row-reduced spanning set with incremental insertion.
 
-    Rows are kept in reduced row echelon form, sorted by pivot column;
-    the pivot of a row is its first nonzero entry.
+    Rows hold raw field values: ints in ``range(p)`` over F_p, or
+    ``Fraction``s over Q (``p == 0``).  They are kept in reduced row
+    echelon form, sorted by pivot column; the pivot of a row is its
+    first nonzero entry.
     """
 
-    def __init__(self):
+    def __init__(self, p: int):
+        self.p = p
         self.rows: list[Vec] = []
         self.pivots: list[int] = []
 
     def residue(self, v: Vec) -> Vec:
         """v reduced against the rows; zero exactly when v is in the span."""
         v = list(v)
+        # a pivot column is zero in every other row, so v[piv] is read
+        # before any row changes it; the other entries are reduced mod p
+        # once, at the end
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
             if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
+                for i, b in enumerate(row):
+                    if b:
+                        v[i] -= c * b
+        return _canonical(v, self.p)
 
     def insert(self, v: Vec) -> bool:
         """Insert v into the span; returns True if the rank grew."""
@@ -64,18 +77,28 @@ class Rref:
         piv = next((i for i, a in enumerate(v) if a), None)
         if piv is None:
             return False
-        inv = v[piv].inverse()
-        v = [a * inv for a in v]
+        p = self.p
+        inv = pow(v[piv], -1, p) if p else 1 / v[piv]
+        v = _canonical([a * inv for a in v], p)
+        nonzero = [(i, b) for i, b in enumerate(v) if b]
         # back-substitute into existing rows
         for idx, row in enumerate(self.rows):
             c = row[piv]
             if c:
-                self.rows[idx] = [a - c * b for a, b in zip(row, v)]
-        pos = next((i for i, p in enumerate(self.pivots) if p > piv),
+                row = list(row)
+                for i, b in nonzero:
+                    row[i] -= c * b
+                self.rows[idx] = _canonical(row, p)
+        pos = next((i for i, q in enumerate(self.pivots) if q > piv),
                    len(self.pivots))
         self.rows.insert(pos, v)
         self.pivots.insert(pos, piv)
         return True
+
+
+def _canonical(v: Vec, p: int) -> Vec:
+    """Entries of v as field values: residues mod p, or unchanged over Q."""
+    return [a % p for a in v] if p else v
 
 
 def kernel_basis(m: Mat, field: Field) -> list[Vec]:
@@ -83,9 +106,9 @@ def kernel_basis(m: Mat, field: Field) -> list[Vec]:
     if not m:
         return []
     ncols = len(m[0])
-    rr = Rref()
+    rr = Rref(field.characteristic)
     for row in m:
-        rr.insert(row)
+        rr.insert([c.value for c in row])
     pivset = set(rr.pivots)
     basis = []
     for j in range(ncols):
@@ -95,6 +118,6 @@ def kernel_basis(m: Mat, field: Field) -> list[Vec]:
         v[j] = field.one
         for row, piv in zip(rr.rows, rr.pivots):
             if row[j]:
-                v[piv] = -row[j]
+                v[piv] = -Scalar(field, row[j])
         basis.append(v)
     return basis

@@ -49,6 +49,11 @@ CASES = {
     "ideal_member_extension_char7": ["ideal", "member", "--char", "7",
                                      "--gen", "a(0) - a(6) + p(1,3)",
                                      "--elt", "a(9) + s(7) + p(2,6)"],
+    "ideal_member_far_extension_char0": [
+        "ideal", "member", "--char", "0", "--gen", "a(0) - a(6) + p(1,3)",
+        "--elt", "a(1500) - 1/2*a(-1497) + s(1499) - 3*p(2,1500)"],
+    "quotient_extension_char0": ["quotient", "--char", "0",
+                                 "--gen", "a(0) - a(6) + p(1,3)"],
     "families_char0": ["families", "--char", "0", "--max-n", "6"],
     "verify_quotients_char0": ["verify", "quotients", "--char", "0"],
     "verify_quotients_char5": ["verify", "quotients", "--char", "5"],

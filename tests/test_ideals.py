@@ -152,6 +152,69 @@ def test_reduce_is_projection(field):
         assert ideal.contains(x - r)
 
 
+def _level_scan_fold(pat, k, step):
+    """The folds by the dense level scan: alpha(k - i) + alpha(k + i) at
+    every level i = step, 2 step, ... up to max(|k|, D - k)."""
+    def at(i):
+        return pat.alpha[i] if 0 <= i <= pat.degree else pat.field.zero
+    return {i: at(k - i) + at(k + i)
+            for i in range(step, max(abs(k), pat.degree - k) + 1, step)
+            if at(k - i) + at(k + i)}
+
+
+def _random_palindrome(F, rng):
+    """A random monic pattern with alpha_i = eps * alpha_(D - i)."""
+    d = rng.randint(2, 9)
+    eps = rng.choice((1, -1))
+    alpha = [F.zero] * (d + 1)
+    alpha[0], alpha[d] = F.scalar(eps), F.one
+    for i in range(1, d // 2 + 1):
+        c = random_scalar(F, rng) if 2 * i < d or eps == 1 else F.zero
+        alpha[i], alpha[d - i] = c * F.scalar(eps), c
+    return alpha, eps
+
+
+def _fold_patterns(F):
+    one, two = F.one, F.scalar(2)
+    for n in range(1, 13):
+        # H_n: a(0) - a(n); L_n: 2a(0) - a(-n) - a(n), shifted by n
+        yield [-one] + [F.zero] * (n - 1) + [one], -1
+        yield [one] + [F.zero] * (n - 1) + [-two] + [F.zero] * (n - 1) \
+            + [one], 1
+    rng = random.Random(71 + F.characteristic)
+    for _ in range(20):
+        yield _random_palindrome(F, rng)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(5), GF(7)], ids=str)
+def test_sparse_folds_match_level_scan(F):
+    for alpha, eps in _fold_patterns(F):
+        pat = PatternIdeal(F, alpha, eps, contains_j=False)
+        d = pat.degree
+        for k in range(-3 * d, d // 2 + 1):
+            y = _level_scan_fold(pat, k, 1)
+            assert pat.y_family(k) == el.Element(
+                F, {("s", i): c for i, c in y.items()})
+            p = _level_scan_fold(pat, k, 3)
+            for r in (1, 2):
+                assert pat.p_family(k, r) == el.Element(
+                    F, {("p", r, i): c for i, c in p.items()})
+
+
+@pytest.mark.parametrize("F", [QQ, GF(7)], ids=str)
+def test_far_reduction(F):
+    # the fold families have at most D + 1 terms, so reducing a subscript
+    # n steps from the window takes time linear in n
+    n = 10 ** 4
+    ideal = ideal_of([A(F, 0) - A(F, 4)])
+    assert ideal.reduce(A(F, n)) == ideal.reduce(A(F, n % 4))
+    x = A(F, n) + A(F, -n) + S(F, n) + P(F, 1, 3 * n)
+    r = ideal.reduce(x)
+    assert ideal.reduce(r) == r
+    assert set(r.terms) <= set(ideal.pattern.survivor_keys)
+    assert ideal.contains(x - r)
+
+
 # -- classification of generated ideals ----------------------------------------------
 
 def test_zero_and_full(field):

@@ -1,11 +1,18 @@
-"""Rref and kernel_basis on seeded random rows over Q and GF(7)."""
+"""Rref and kernel_basis on seeded random rows over Q and GF(7).
+
+``Rref`` takes raw rows (``Fraction``s for ``Rref(0)``, ints in
+``range(7)`` for ``Rref(7)``); ``kernel_basis`` takes and returns
+``Scalar``s.
+"""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import random_scalar
 from highwater import GF, QQ
+from highwater.fields import Scalar
 from highwater.linalg import Rref, kernel_basis, mat_vec, zeros
 
 
@@ -45,37 +52,54 @@ def _cases(field, seed):
         yield rng, width, _random_rows(field, rng, rng.randint(0, 8), width)
 
 
+def _raw(row):
+    return [c.value for c in row]
+
+
+def _rref(field, rows):
+    rr = Rref(field.characteristic)
+    for row in rows:
+        rr.insert(_raw(row))
+    return rr
+
+
 def test_rows_are_reduced_and_sorted_by_pivot(field):
     for _, _, rows in _cases(field, 11):
-        rr = Rref()
-        for row in rows:
-            rr.insert(row)
+        rr = _rref(field, rows)
         assert all(p < q for p, q in zip(rr.pivots, rr.pivots[1:]))
         for row, piv in zip(rr.rows, rr.pivots):
             assert next(i for i, a in enumerate(row) if a) == piv
         for i, piv in enumerate(rr.pivots):
             column = [row[piv] for row in rr.rows]
-            assert column == [field.one if j == i else field.zero
+            assert column == [1 if j == i else 0
                               for j in range(len(rr.rows))]
+
+
+def test_rows_hold_raw_field_values(field):
+    p = field.characteristic
+    for _, _, rows in _cases(field, 17):
+        for row in _rref(field, rows).rows:
+            if p:
+                assert all(type(a) is int and 0 <= a < p for a in row)
+            else:
+                assert all(isinstance(a, Fraction) for a in row if a)
 
 
 def test_insert_rejects_span_members_and_keeps_rows(field):
     for rng, width, rows in _cases(field, 23):
-        rr = Rref()
-        for row in rows:
-            rr.insert(row)
+        rr = _rref(field, rows)
         before = ([list(r) for r in rr.rows], list(rr.pivots))
-        assert not rr.insert(_combination(field, rng, rows, width))
-        assert not rr.insert(zeros(field, width))
+        assert not rr.insert(_raw(_combination(field, rng, rows, width)))
+        assert not rr.insert(_raw(zeros(field, width)))
         assert (rr.rows, rr.pivots) == before
 
 
 def test_residue_of_span_member_is_zero(field):
     for rng, width, rows in _cases(field, 37):
-        rr = Rref()
-        grew = [rr.insert(row) for row in rows]
+        rr = Rref(field.characteristic)
+        grew = [rr.insert(_raw(row)) for row in rows]
         member = _combination(field, rng, rows, width)
-        assert rr.residue(member) == zeros(field, width)
+        assert rr.residue(_raw(member)) == [0] * width
         # the rows that grew the rank are independent of the earlier ones
         assert sum(grew) == len(rr.rows)
 
@@ -86,11 +110,18 @@ def test_kernel_basis_solves_and_has_full_size(field):
         if not rows:
             assert basis == []
             continue
-        rr = Rref()
-        for row in rows:
-            rr.insert(row)
+        rr = _rref(field, rows)
         assert len(basis) == width - len(rr.rows)
         for v in basis:
             assert mat_vec(rows, v, field) == zeros(field, len(rows))
-        independent = Rref()
-        assert all(independent.insert(v) for v in basis)
+        independent = Rref(field.characteristic)
+        assert all(independent.insert(_raw(v)) for v in basis)
+
+
+def test_kernel_basis_takes_and_returns_scalars(field):
+    for _, _, rows in _cases(field, 61):
+        for v in kernel_basis(rows, field):
+            assert all(isinstance(c, Scalar) and c.field is field for c in v)
+    # x - 2y = 0 has the kernel spanned by (2, 1)
+    two = field.scalar(2)
+    assert kernel_basis([[field.one, -two]], field) == [[two, field.one]]

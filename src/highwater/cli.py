@@ -73,7 +73,7 @@ def _cmd_weight(args) -> int:
     w = x.weight()
     _emit(args, {"command": "weight",
                  "characteristic": field.characteristic,
-                 "weight": str(w.value)}, str(w.value))
+                 "weight": str(w)}, str(w))
     return 0
 
 
@@ -81,10 +81,10 @@ def _cmd_eigen(args) -> int:
     field = _field(args)
     x = _parse(field, args.x)
     dec = eigendecompose(x, args.axis)
-    comps = [{"eigenvalue": str(q.value), "element": element_to_json(c),
+    comps = [{"eigenvalue": str(q), "element": element_to_json(c),
               "text": format_element(c)}
              for q, c in sorted(dec.components.items(),
-                                key=lambda t: str(t[0].value))
+                                key=lambda t: str(t[0]))
              if not c.is_zero()]
     lines = [f"axis a({args.axis})"]
     for c in comps:
@@ -124,7 +124,7 @@ def _cmd_ideal_member(args) -> int:
 
 def _quotient_payload(q: FiniteAlgebra) -> dict:
     n = q.dim
-    table = [[[str(c.value) for c in q.structure[(j, i)]]
+    table = [[[str(c) for c in q.structure[(j, i)]]
               for j in range(i + 1)] for i in range(n)]
     return {"command": "quotient", "field": q.field.characteristic,
             "dim": n,

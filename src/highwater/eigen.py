@@ -85,12 +85,12 @@ def slice_split(x: el.Element, center: int = 0):
         if key[0] == "a":
             i = abs(key[1] - center)
             if i == 0:
-                center_coeff = c
+                center_coeff = Scalar(field, c)
                 continue
         else:
             i = key[1] if key[0] == "s" else key[2]
         slices.setdefault(i, {})[key] = c
-    return center_coeff, {i: el.Element(field, t)
+    return center_coeff, {i: el.Element._of(field, t)
                           for i, t in sorted(slices.items())}
 
 
@@ -198,7 +198,7 @@ def fusion_check(field: Field, i_max: int) -> dict:
                 if cmp_elem.is_zero() or ev in allowed:
                     continue
                 violations.append({"pair": (name1, name2),
-                                   "eigenvalue": str(ev.value),
+                                   "eigenvalue": str(ev),
                                    "reason": "component outside fusion law"})
     return {"characteristic": field.characteristic, "i_max": i_max,
             "checked": checked, "violations": violations,

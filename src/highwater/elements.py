@@ -16,8 +16,11 @@ k > 0.  The residue-0 symbol p(0,k) is eagerly rewritten as
 are expanded into p's on construction, so stored P keys always carry
 residue 1 or 2.
 
-Elements are sparse dicts mapping basis keys to nonzero scalars and are
-treated as immutable: all operations return fresh elements.
+Elements are sparse dicts mapping basis keys to nonzero raw field
+values: ints in ``range(p)`` over F_p, ``Fraction``s over Q.  A ``Scalar``
+is built only for a single coefficient that a caller passes in (the
+constructor, ``scale``) or reads out (``coeff``, ``items``, ``weight``).
+Elements are treated as immutable: all operations return fresh elements.
 """
 
 from __future__ import annotations
@@ -49,8 +52,21 @@ class Element:
     __slots__ = ("field", "terms")
 
     def __init__(self, field: Field, terms: dict[Key, Scalar] | None = None):
+        raw = {}
+        for key, c in (terms or {}).items():
+            field.zero._check(c)  # a Scalar of this field, or raise
+            if c:
+                raw[key] = c.value
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", dict(terms) if terms else {})
+        object.__setattr__(self, "terms", raw)
+
+    @classmethod
+    def _of(cls, field: Field, terms: dict) -> "Element":
+        """The element owning ``terms``: nonzero raw values, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Element is immutable; use arithmetic methods")
@@ -64,13 +80,14 @@ class Element:
         return bool(self.terms)
 
     def coeff(self, key: Key) -> Scalar:
-        return self.terms.get(key, self.field.zero)
+        c = self.terms.get(key)
+        return self.field.zero if c is None else Scalar(self.field, c)
 
     def support(self) -> list[Key]:
         return sorted(self.terms, key=key_sort)
 
     def items(self) -> Iterator[tuple[Key, Scalar]]:
-        return iter(sorted(self.terms.items(), key=lambda kv: key_sort(kv[0])))
+        return iter([(k, self.coeff(k)) for k in self.support()])
 
     def _check(self, other: "Element"):
         if not isinstance(other, Element):
@@ -93,29 +110,26 @@ class Element:
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k)
-            v = c if v is None else v + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return Element(self.field, out)
+        _add_scaled(out, 1, other.terms.items(), self.field.characteristic)
+        return Element._of(self.field, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Element(self.field, {k: -c for k, c in self.terms.items()})
+        return self._scaled(-1)
 
     def scale(self, c: Scalar) -> "Element":
-        if not isinstance(c, Scalar):
-            raise TypeError("scale takes a Scalar")
-        if c.field is not self.field:
-            raise FieldMismatchError("scalar field differs from element field")
+        self.field.zero._check(c)  # a Scalar of this field, or raise
         if not c:
-            return Element(self.field)
-        return Element(self.field, {k: v * c for k, v in self.terms.items()})
+            return Element._of(self.field, {})
+        return self._scaled(c.value)
+
+    def _scaled(self, c) -> "Element":
+        """c * self for a nonzero raw multiplier c."""
+        out = {}
+        _add_scaled(out, c, self.terms.items(), self.field.characteristic)
+        return Element._of(self.field, out)
 
     def __rmul__(self, c):
         if isinstance(c, Scalar):
@@ -136,16 +150,18 @@ class Element:
         p = field.characteristic
         # over Q, clear denominators: self = X/dx and other = Y/dy with X
         # and Y integral; over F_p the values are ints already
+        left, right = self.terms.items(), list(other.terms.items())
         dx = dy = 1
         if not p:
-            dx = lcm(*(c.value.denominator for c in self.terms.values()))
-            dy = lcm(*(c.value.denominator for c in other.terms.values()))
-        right = [(k, c.value.numerator * (dy // c.value.denominator))
-                 for k, c in other.terms.items()]
+            dx = lcm(*(c.denominator for c in self.terms.values()))
+            dy = lcm(*(c.denominator for c in other.terms.values()))
+            left = [(k, c.numerator * (dx // c.denominator))
+                    for k, c in left]
+            right = [(k, c.numerator * (dy // c.denominator))
+                     for k, c in right]
         acc: dict[Key, int] = {}
         get = acc.get
-        for k1, c1 in self.terms.items():
-            n1 = c1.value.numerator * (dx // c1.value.denominator)
+        for k1, n1 in left:
             for k2, n2 in right:
                 # translate the pair by a multiple of 3 taken from its axis
                 # subscript; see the comment above _merge
@@ -167,20 +183,20 @@ class Element:
             inv = pow(8, -1, p)
             for k, n in acc.items():
                 if n := n * inv % p:
-                    out[k] = Scalar(field, n)
+                    out[k] = n
         else:
             den = 8 * dx * dy
             for k, n in acc.items():
                 if n:
-                    out[k] = Scalar(field, Fraction(n, den))
-        return Element(field, out)
+                    out[k] = Fraction(n, den)
+        return Element._of(field, out)
 
     # -- structural queries --------------------------------------------------
 
     def part(self, kind: str) -> "Element":
         """The pure a-, s- or p-part of the element."""
-        return Element(self.field,
-                       {k: c for k, c in self.terms.items() if k[0] == kind})
+        return Element._of(self.field, {k: c for k, c in self.terms.items()
+                                        if k[0] == kind})
 
     def in_radical(self) -> bool:
         return not self.weight()
@@ -194,34 +210,58 @@ class Element:
 
     def weight(self) -> Scalar:
         """The weight homomorphism: the sum of the a-coefficients."""
-        w = self.field.zero
-        for k, c in self.terms.items():
-            if k[0] == "a":
-                w = w + c
-        return w
+        field = self.field
+        p = field.characteristic
+        w = sum((c for k, c in self.terms.items() if k[0] == "a"),
+                field.zero.value)
+        return Scalar(field, w % p if p else w)
 
     def __repr__(self):
         from .textio import format_element
         return format_element(self)
 
 
+def _add_scaled(acc: dict, c, terms, p: int) -> None:
+    """acc += c * terms in place, dropping zeros; values reduce mod p.
+
+    ``terms`` yields (key, value) pairs of nonzero raw values (plain ints
+    when p is 0 outside a field); ``c`` is an int or ``Fraction``, nonzero
+    mod p.  Scaling by 1 or -1 multiplies nothing, and a key new to
+    ``acc`` takes its value without an addition.
+    """
+    get = acc.get
+    one, neg = c == 1, c == -1
+    for k, b in terms:
+        if not one:
+            b = (p - b if p else -b) if neg else c * b
+        v = get(k)
+        if v is not None:
+            b += v
+        if p:
+            b %= p
+        if b:
+            acc[k] = b
+        else:
+            acc.pop(k, None)
+
+
 # -- constructors -----------------------------------------------------------
 
 def zero(field: Field) -> Element:
-    return Element(field)
+    return Element._of(field, {})
 
 
 def axis(field: Field, i: int) -> Element:
     """The axis a(i)."""
-    return Element(field, {("a", i): field.one})
+    return Element._of(field, {("a", i): field.one.value})
 
 
 def sigma(field: Field, j: int) -> Element:
     """The symbol s(j); s(0) = 0 and s(-j) = s(j)."""
     j = abs(j)
     if j == 0:
-        return Element(field)
-    return Element(field, {("s", j): field.one})
+        return Element._of(field, {})
+    return Element._of(field, {("s", j): field.one.value})
 
 
 def _p_terms(r: int, k: int) -> tuple[tuple[Key, int], ...]:
@@ -237,7 +277,7 @@ def _p_terms(r: int, k: int) -> tuple[tuple[Key, int], ...]:
 
 def pi(field: Field, r: int, k: int) -> Element:
     """The symbol p(r,k), with residue and subscript normalisation."""
-    return Element(field, {key: field.scalar(c) for key, c in _p_terms(r, k)})
+    return from_terms(field, _p_terms(r, k))
 
 
 def _z_terms(r: int, k: int) -> tuple[tuple[Key, int], ...]:
@@ -256,22 +296,26 @@ def _z_terms(r: int, k: int) -> tuple[tuple[Key, int], ...]:
 
 def zed(field: Field, r: int, k: int) -> Element:
     """The difference symbol zed(r,k) = p(r+1,k) - p(r-1,k)."""
-    return Element(field, {key: field.scalar(c) for key, c in _z_terms(r, k)})
+    return from_terms(field, _z_terms(r, k))
 
 
 def from_terms(field: Field, terms) -> Element:
     """Sum of (key, rational) pairs, normalising degenerate keys."""
-    out = Element(field)
+    p = field.characteristic
+    acc = {}
     for key, q in terms:
-        c = field.from_fraction(q)
+        c = field._value(q)
+        if not c:
+            continue
         if key[0] == "a":
-            t = Element(field, {key: c}) if c else Element(field)
+            pairs = ((key, 1),)
         elif key[0] == "s":
-            t = sigma(field, key[1]).scale(c)
+            pairs = ((("s", abs(key[1])), 1),) if key[1] else ()
         else:
-            t = pi(field, key[1], key[2]).scale(c)
-        out = out + t
-    return out
+            pairs = _p_terms(key[1], key[2])
+        for k, n in pairs:
+            _add_scaled(acc, n, ((k, c),), p)
+    return Element._of(field, acc)
 
 
 # -- the product ------------------------------------------------------------
@@ -293,11 +337,7 @@ def from_terms(field: Field, terms) -> Element:
 
 
 def _merge(acc: dict, key: Key, n: int):
-    v = acc.get(key, 0) + n
-    if v:
-        acc[key] = v
-    else:
-        acc.pop(key, None)
+    _add_scaled(acc, n, ((key, 1),), 0)
 
 
 def _add_sigma(acc, j, n):
@@ -307,13 +347,11 @@ def _add_sigma(acc, j, n):
 
 
 def _add_p(acc, r, k, n):
-    for key, c in _p_terms(r, k):
-        _merge(acc, key, n * c)
+    _add_scaled(acc, n, _p_terms(r, k), 0)
 
 
 def _add_z(acc, r, k, n):
-    for key, c in _z_terms(r, k):
-        _merge(acc, key, n * c)
+    _add_scaled(acc, n, _z_terms(r, k), 0)
 
 
 @lru_cache(maxsize=None)
@@ -430,28 +468,20 @@ def compose(first: Automorphism, second: Automorphism) -> Automorphism:
 
 def apply(aut: Automorphism, x: Element) -> Element:
     """Image of x under the automorphism."""
-    field = x.field
-    out: dict[Key, Scalar] = {}
-
-    def put(key, c):
-        old = out.get(key)
-        v = c if old is None else old + c
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-
+    p = x.field.characteristic
+    sign, shift = aut.sign, aut.shift
+    out: dict[Key, object] = {}
     for key, c in x.terms.items():
         if key[0] == "a":
             # reflections store the doubled centre, so i -> shift - i
-            put(("a", aut.index(key[1])), c)
+            out[("a", sign * key[1] + shift)] = c
         elif key[0] == "s":
-            put(key, c)
+            out[key] = c
         else:
-            r, k = key[1], key[2]
-            for pk, q in _p_terms(aut.sign * r + aut.shift, k):
-                put(pk, c if aut.sign * q == 1 else -c)  # q is +1 or -1
-    return Element(field, out)
+            # a reflection negates; only images of residue 0 can collide
+            for pk, q in _p_terms(sign * key[1] + shift, key[2]):
+                _add_scaled(out, sign * q, ((pk, c),), p)  # q is +1 or -1
+    return Element._of(x.field, out)
 
 
 # -- derived elements (relative to axis a(0)) ---------------------------------

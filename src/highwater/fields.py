@@ -4,6 +4,10 @@ Every scalar carries its field so that cross-field arithmetic is an
 error instead of a silent coercion.  Characteristic 0 scalars wrap
 ``fractions.Fraction``; characteristic p scalars are residues in
 ``range(p)``.
+
+A ``Scalar`` is the type of a single coefficient at the API edge.  Every
+container of coefficients in the engine (element terms, ``Rref`` rows,
+quotient vectors, tables and matrices) holds these raw values instead.
 """
 
 from __future__ import annotations
@@ -88,15 +92,21 @@ class Field:
         return self.from_fraction(Fraction(numerator, denominator))
 
     def from_fraction(self, q: Fraction | int) -> "Scalar":
+        return Scalar(self, self._value(q))
+
+    def _value(self, q: Fraction | int):
+        """The raw value of a rational: itself over Q, a residue mod p."""
+        if isinstance(q, float):
+            raise TypeError("floats are not exact; pass an int or Fraction")
         q = Fraction(q)
         p = self.characteristic
         if p == 0:
-            return Scalar(self, q)
+            return q
         den = q.denominator % p
         if den == 0:
             raise ZeroDivisionError(
                 f"denominator {q.denominator} is 0 mod {p}")
-        return Scalar(self, q.numerator * pow(den, -1, p) % p)
+        return q.numerator * pow(den, -1, p) % p
 
 
 class Scalar:

@@ -25,6 +25,8 @@ reduction to zero.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import elements as el
 from .fields import Field, Scalar
 from .linalg import Rref
@@ -68,9 +70,8 @@ class JIdeal:
         return 2 * (len(self.coeffs) - 1)
 
     def generator(self) -> el.Element:
-        return el.Element(self.field,
-                          {("p", 1, 3 * (j + 1)): c
-                           for j, c in enumerate(self.coeffs) if c})
+        return el.Element(self.field, {("p", 1, 3 * j): c
+                                       for j, c in enumerate(self.coeffs, 1)})
 
     def __eq__(self, other):
         return (isinstance(other, JIdeal) and other.field is self.field
@@ -193,21 +194,17 @@ def fold(x: el.Element, k: int) -> tuple[el.Element, el.Element]:
         raise IdealArgumentError("fold needs a nonzero pure-a element")
     if x.weight():
         raise IdealArgumentError("fold needs zero coefficient sum")
-    field = x.field
     coeffs = {key[1]: c for key, c in x.terms.items()}
     lo = min(coeffs)
     hi = max(coeffs)
-    three = field.scalar(3)
-    s_out = el.zero(field)
-    p_out = el.zero(field)
+    s_terms, p_terms = [], []
     for i in range(1, max(abs(k - lo), abs(k - hi)) + 1):
-        c = coeffs.get(k - i, field.zero) + coeffs.get(k + i, field.zero)
-        if not c:
-            continue
-        s_out = s_out + el.sigma(field, i).scale(three * c)
+        # a rational; from_terms reduces it and drops it when zero
+        c = 3 * (coeffs.get(k - i, 0) + coeffs.get(k + i, 0))
+        s_terms.append((("s", i), c))
         if i % 3 == 0:
-            p_out = p_out + el.pi(field, k % 3, i).scale(three * c)
-    return s_out, p_out
+            p_terms.append((("p", k % 3, i), c))
+    return el.from_terms(x.field, s_terms), el.from_terms(x.field, p_terms)
 
 
 def pure_a_extract(g: el.Element) -> el.Element:
@@ -225,10 +222,10 @@ def pure_a_extract(g: el.Element) -> el.Element:
 
 # -- polynomial gcd with shift-combination tracking ----------------------------
 
-def _poly_trim(p: list[Scalar]) -> list[Scalar]:
-    while p and not p[-1]:
-        p.pop()
-    return p
+def _poly_trim(poly: list) -> list:
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
 
 
 class _Tracked:
@@ -237,48 +234,40 @@ class _Tracked:
     __slots__ = ("poly", "comb")
 
     def __init__(self, poly, comb):
-        self.poly = poly          # list[Scalar], low order first
-        self.comb = comb          # {(input_index, shift): Scalar}
+        self.poly = poly          # raw values, low order first
+        self.comb = comb          # {(input_index, shift): raw value}
 
 
-def _comb_sub_shifted(comb, other, c: Scalar, k: int):
-    """comb -= c * t^k * other, in place."""
-    for (idx, sh), v in other.items():
-        key = (idx, sh + k)
-        new = comb.get(key, None)
-        new = -(c * v) if new is None else new - c * v
-        if new:
-            comb[key] = new
-        else:
-            comb.pop(key, None)
-
-
-def _euclid(a: _Tracked, b: _Tracked) -> _Tracked:
+def _euclid(a: _Tracked, b: _Tracked, p: int) -> _Tracked:
     while b.poly:
         # divide a by b, keeping only the remainder
         r = list(a.poly)
         rcomb = dict(a.comb)
         db = len(b.poly) - 1
-        lead_inv = b.poly[-1].inverse()
+        lead_inv = pow(b.poly[-1], -1, p) if p else 1 / b.poly[-1]
         while len(r) - 1 >= db and _poly_trim(r):
             if len(r) - 1 < db:
                 break
             c = r[-1] * lead_inv
             k = len(r) - 1 - db
             for i, bc in enumerate(b.poly):
-                r[k + i] = r[k + i] - c * bc
-            _comb_sub_shifted(rcomb, b.comb, c, k)
+                v = r[k + i] - c * bc
+                r[k + i] = v % p if p else v
+            # rcomb -= c * t^k * b.comb
+            el._add_scaled(rcomb, -c, [((idx, sh + k), v) for (idx, sh), v
+                                       in b.comb.items()], p)
             _poly_trim(r)
         a, b = b, _Tracked(_poly_trim(r), rcomb)
     return a
 
 
-def _normalize_tracked(t: _Tracked) -> _Tracked:
+def _normalize_tracked(t: _Tracked, p: int) -> _Tracked:
     low = next(i for i, c in enumerate(t.poly) if c)
     poly = t.poly[low:]
-    inv = poly[-1].inverse()
-    poly = [c * inv for c in poly]
-    comb = {(idx, sh - low): v * inv for (idx, sh), v in t.comb.items()}
+    inv = pow(poly[-1], -1, p) if p else 1 / poly[-1]
+    poly = [c * inv % p if p else c * inv for c in poly]
+    comb = {(idx, sh - low): v * inv % p if p else v * inv
+            for (idx, sh), v in t.comb.items()}
     return _Tracked(poly, comb)
 
 
@@ -289,21 +278,24 @@ def laurent_gcd(field: Field, patterns):
     read as a polynomial with lowest exponent 0.  Returns
     ``(gcd_coeffs, combination)`` where combination is a list of
     ``(input_index, shift, coeff)`` triples expressing the gcd as a sum
-    of shifted scalar multiples of the inputs.
+    of shifted scalar multiples of the inputs; the coefficients are
+    ``Scalar``s, the working polynomials raw values.
     """
+    p = field.characteristic
     tracked = []
     for idx, pat in enumerate(patterns):
-        poly = _poly_trim([c if isinstance(c, Scalar)
-                           else field.from_fraction(c) for c in pat])
+        poly = _poly_trim([c.value if isinstance(c, Scalar)
+                           else field._value(c) for c in pat])
         if poly:
-            tracked.append(_Tracked(poly, {(idx, 0): field.one}))
+            tracked.append(_Tracked(poly, {(idx, 0): field.one.value}))
     if not tracked:
         raise IdealArgumentError("all patterns are zero")
-    acc = _normalize_tracked(tracked[0])
+    acc = _normalize_tracked(tracked[0], p)
     for item in tracked[1:]:
-        acc = _normalize_tracked(_euclid(acc, item))
-    coeffs = tuple(acc.poly)
-    combo = sorted(((idx, sh, c) for (idx, sh), c in acc.comb.items()))
+        acc = _normalize_tracked(_euclid(acc, item, p), p)
+    coeffs = tuple(Scalar(field, c) for c in acc.poly)
+    combo = sorted((idx, sh, Scalar(field, c))
+                   for (idx, sh), c in acc.comb.items())
     return coeffs, combo
 
 
@@ -319,11 +311,12 @@ class PatternIdeal:
     empty and ``ideal_of`` fills it.  Its pivots are the survivor keys
     that the extension eliminates.
 
-    The reduction path works on raw field values (ints in ``range(p)``,
-    or ``Fraction``s over Q): ``reduce_core`` takes and returns a
-    ``{key: value}`` dict, ``to_vector`` and the ``extension`` rows hold
-    raw values, and ``from_vector``, ``reduce`` and the family methods
-    return ``Element``s.
+    Like every container of coefficients, the reduction path holds raw
+    field values (ints in ``range(p)``, or ``Fraction``s over Q):
+    ``reduce_core`` takes and returns a ``{key: value}`` dict, and the
+    vectors of ``to_vector``, ``from_vector`` and the ``extension`` rows
+    are raw.  Only ``alpha``, a tuple of single coefficients passed in,
+    holds ``Scalar``s.
     """
 
     def __init__(self, field: Field, alpha, epsilon: int, contains_j: bool):
@@ -339,10 +332,12 @@ class PatternIdeal:
         self._key_pos = {k: i for i, k in enumerate(self.survivor_keys)}
         self.extension = Rref(self.p)
         # raw values for reduce_core: (j, alpha_j) for the nonzero
-        # alpha_j, 1/alpha_0 and 1/2
-        self._support = [(j, c.value) for j, c in enumerate(alpha) if c]
-        self._a0_inv = alpha[0].inverse().value
-        self._half = field.scalar(1, 2).value
+        # alpha_j, which the Element constructor unwraps, 1/alpha_0 and 1/2
+        x0 = el.Element(field, {("a", j): c for j, c in enumerate(alpha)})
+        self._support = sorted((key[1], c) for key, c in x0.terms.items())
+        a0 = self._support[0][1]
+        self._a0_inv = pow(a0, -1, self.p) if self.p else 1 / a0
+        self._half = field._value(Fraction(1, 2))
         # the lowest s- and p-level that the families reduce
         d = self.degree
         self._cutoff = d // 2 if d % 2 == 0 and epsilon == 1 else d // 2 + 1
@@ -389,24 +384,20 @@ class PatternIdeal:
                 out[i] = c % p if p else c
         return {i: c for i, c in out.items() if c}
 
-    def _element(self, terms: dict) -> el.Element:
-        field = self.field
-        return el.Element(field, {k: Scalar(field, c)
-                                  for k, c in terms.items()})
-
     def x_family(self, k: int) -> el.Element:
         """Shifted pattern element: sum_i alpha[i] a(i + k)."""
-        return self._element({("a", j + k): c for j, c in self._support})
+        return el.Element._of(self.field,
+                              {("a", j + k): c for j, c in self._support})
 
     def y_family(self, k: int) -> el.Element:
         """Folded s-element y_k = sum_j alpha_j s(|k - j|)."""
-        return self._element({("s", i): c
-                              for i, c in self._fold(k, 1).items()})
+        return el.Element._of(self.field, {
+            ("s", i): c for i, c in self._fold(k, 1).items()})
 
     def p_family(self, k: int, residue: int) -> el.Element:
         """Folded p-element sum_j alpha_j p(residue, |k - j|), 3 | k - j."""
-        return self._element({("p", residue, i): c
-                              for i, c in self._fold(k, 3).items()})
+        return el.Element._of(self.field, {
+            ("p", residue, i): c for i, c in self._fold(k, 3).items()})
 
     # -- reduction -------------------------------------------------------
 
@@ -428,7 +419,8 @@ class PatternIdeal:
                 if k >= 0:
                     break
                 c = rem[("a", k)] * self._a0_inv
-            _subtract(rem, [(("a", j + k), a) for j, a in support], c, p)
+            el._add_scaled(rem, -c, [(("a", j + k), a) for j, a in support],
+                           p)
         # p-part: collapse entirely when J is inside
         if self.contains_j:
             for key in [k for k in rem if k[0] == "p"]:
@@ -446,13 +438,13 @@ class PatternIdeal:
                 n, top = max(tops)
                 c = rem[top] * (half if 2 * n == d else 1)
                 fold = self._fold(d - n, step)
-                _subtract(rem, [(top[:-1] + (i,), b)
-                                for i, b in fold.items()], c, p)
+                el._add_scaled(rem, -c, [(top[:-1] + (i,), b)
+                                         for i, b in fold.items()], p)
         return rem
 
     def to_vector(self, rem: dict) -> list:
         """Raw coordinates over ``survivor_keys`` of reduced raw terms."""
-        vec = [0] * len(self.survivor_keys)
+        vec = [self.field.zero.value] * len(self.survivor_keys)
         for key, c in rem.items():
             pos = self._key_pos.get(key)
             if pos is None:  # pragma: no cover - reduce_core precludes this
@@ -462,29 +454,12 @@ class PatternIdeal:
 
     def from_vector(self, vec) -> el.Element:
         """The element with raw coordinates ``vec`` over ``survivor_keys``."""
-        return self._element({k: c for k, c in zip(self.survivor_keys, vec)
-                              if c})
+        return el.Element._of(self.field, {
+            k: c for k, c in zip(self.survivor_keys, vec) if c})
 
     def reduce(self, x: el.Element) -> el.Element:
-        vec = self.to_vector(self.reduce_core(_raw(x)))
+        vec = self.to_vector(self.reduce_core(dict(x.terms)))
         return self.from_vector(self.extension.residue(vec))
-
-
-def _raw(x: el.Element) -> dict:
-    """The terms of x as raw field values."""
-    return {k: c.value for k, c in x.terms.items()}
-
-
-def _subtract(rem: dict, terms, c, p: int) -> None:
-    """rem -= c * terms on raw values, in place, dropping zeros."""
-    for key, b in terms:
-        v = rem.get(key, 0) - c * b
-        if p:
-            v %= p
-        if v:
-            rem[key] = v
-        else:
-            rem.pop(key, None)
 
 
 # -- the classification record --------------------------------------------------
@@ -521,11 +496,11 @@ class IdealData:
     def summary(self) -> dict:
         out = {"kind": self.kind, "characteristic": self.field.characteristic}
         if self.kind == "in_j":
-            out["j_tuple"] = [str(c.value) for c in self.j_ideal.coeffs]
+            out["j_tuple"] = [str(c) for c in self.j_ideal.coeffs]
             out["codim_in_j"] = self.j_ideal.codim_in_j
         elif self.kind == "pattern":
             pat = self.pattern
-            out["pattern"] = [str(c.value) for c in pat.alpha]
+            out["pattern"] = [str(c) for c in pat.alpha]
             out["epsilon"] = pat.epsilon
             out["contains_j"] = pat.contains_j
             out["extension_dim"] = len(pat.extension_rows)
@@ -568,18 +543,16 @@ def minimal_ideal_basis(field: Field, pattern, epsilon: int,
 
 
 def _residue_sums_nonzero(field: Field, alpha) -> bool:
-    sums = [field.zero, field.zero, field.zero]
-    for i, c in enumerate(alpha):
-        sums[i % 3] = sums[i % 3] + c
-    return bool(sums[1]) or bool(sums[2])
+    return any(sum(alpha[r::3], field.zero) for r in (1, 2))
 
 
 # -- the general classification engine -------------------------------------------
 
-def _pattern_of_pure_a(x: el.Element) -> list[Scalar]:
-    """Coefficient list of a pure-a element, lowest exponent moved to 0."""
+def _pattern_of_pure_a(x: el.Element) -> list:
+    """Raw coefficient list of a pure-a element, lowest exponent moved to 0."""
     idx = {k[1]: c for k, c in x.terms.items()}
-    return [idx.get(i, x.field.zero) for i in range(min(idx), max(idx) + 1)]
+    zero = x.field.zero.value
+    return [idx.get(i, zero) for i in range(min(idx), max(idx) + 1)]
 
 
 def _reverse_elem(x: el.Element) -> el.Element:
@@ -593,15 +566,16 @@ def _closure(ideal: PatternIdeal, seeds: list[el.Element]) -> None:
     rr = ideal.extension
     queue = []
     for s in seeds:
-        vec = ideal.to_vector(ideal.reduce_core(_raw(s)))
+        vec = ideal.to_vector(ideal.reduce_core(dict(s.terms)))
         if rr.insert(vec):
             queue.append(vec)
-    basis_elems = [el.Element(field, {k: field.one})
+    basis_elems = [el.Element._of(field, {k: field.one.value})
                    for k in ideal.survivor_keys]
     while queue:
         elem = ideal.from_vector(queue.pop())
         for b in basis_elems:
-            w = ideal.to_vector(ideal.reduce_core(_raw(elem * b)))
+            # a fresh product: reduce_core may consume its terms
+            w = ideal.to_vector(ideal.reduce_core((elem * b).terms))
             if rr.insert(w):
                 queue.append(w)
 
@@ -651,10 +625,7 @@ def ideal_of(generators) -> IdealData:
     while True:
         gcd_coeffs, _ = laurent_gcd(field,
                                     [_pattern_of_pure_a(e) for e in pool])
-        total = field.zero
-        for c in gcd_coeffs:
-            total = total + c
-        if total:
+        if sum(gcd_coeffs, field.zero):
             return IdealData(field, "full")
 
         alpha = list(gcd_coeffs)

@@ -1,46 +1,32 @@
 """Tiny exact linear algebra over a Field (dense, list-of-lists).
 
-The matrix helpers and ``kernel_basis`` take and return ``Scalar``s.
-``Rref`` works on raw field values (ints mod p, or ``Fraction``s over Q)
-because the reduction path of ``ideals`` feeds it directly.
+Vectors and matrices hold raw field values, as every container of
+coefficients does: ints in ``range(p)`` over F_p, ``Fraction``s over Q
+(``p == 0``).  Results come back in the same canonical form.
 """
 
 from __future__ import annotations
 
-from .fields import Field, Scalar
+from .fields import Field
 
 Vec = list
 Mat = list
 
 
-def zeros(field: Field, n: int) -> Vec:
-    return [field.zero] * n
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return [a - b for a, b in zip(u, v)]
-
-def vec_scale(u: Vec, c: Scalar) -> Vec:
-    return [a * c for a in u]
+def vec_scale(u: Vec, c, p: int) -> Vec:
+    """c * u for a raw value c."""
+    return _canonical([a * c for a in u], p)
 
 
 def mat_vec(m: Mat, v: Vec, field: Field) -> Vec:
-    out = []
-    for row in m:
-        acc = field.zero
-        for a, b in zip(row, v):
-            acc = acc + a * b
-        out.append(acc)
-    return out
+    zero = field.zero.value
+    return _canonical([sum((a * b for a, b in zip(row, v)), zero)
+                       for row in m], field.characteristic)
 
 
 def mat_mul(a: Mat, b: Mat, field: Field) -> Mat:
     cols = list(zip(*b)) if b else []
-    out = []
-    for row in a:
-        out.append([sum((x * y for x, y in zip(row, col)),
-                        start=field.zero) for col in cols])
-    return out
+    return [mat_vec(cols, row, field) for row in a]
 
 
 class Rref:
@@ -106,18 +92,19 @@ def kernel_basis(m: Mat, field: Field) -> list[Vec]:
     if not m:
         return []
     ncols = len(m[0])
-    rr = Rref(field.characteristic)
+    p = field.characteristic
+    rr = Rref(p)
     for row in m:
-        rr.insert([c.value for c in row])
+        rr.insert(row)
     pivset = set(rr.pivots)
     basis = []
     for j in range(ncols):
         if j in pivset:
             continue
-        v = zeros(field, ncols)
-        v[j] = field.one
+        v = [field.zero.value] * ncols
+        v[j] = field.one.value
         for row, piv in zip(rr.rows, rr.pivots):
             if row[j]:
-                v[piv] = -Scalar(field, row[j])
+                v[piv] = p - row[j] if p else -row[j]
         basis.append(v)
     return basis

@@ -19,16 +19,15 @@ import re
 from fractions import Fraction
 
 from . import elements as el
-from .fields import Field, Scalar
+from .fields import Field
 
 
 class ParseError(ValueError):
     """Raised for malformed element literals."""
 
 
-def _format_coeff(c: Scalar) -> tuple[str, str]:
-    """Return (sign, magnitude-with-star) for a printable coefficient."""
-    q = c.value
+def _format_coeff(q) -> tuple[str, str]:
+    """(sign, magnitude-with-star) for a raw coefficient of an element."""
     if isinstance(q, Fraction):
         sign = "-" if q < 0 else "+"
         mag = abs(q)
@@ -47,8 +46,8 @@ def format_element(x: el.Element) -> str:
     if x.is_zero():
         return "0"
     parts = []
-    for key, c in x.items():
-        sign, mag = _format_coeff(c)
+    for key in x.support():
+        sign, mag = _format_coeff(x.terms[key])
         if not parts:
             parts.append(f"-{mag}" if sign == "-" else mag)
         else:
@@ -200,8 +199,8 @@ def key_to_json(key) -> dict:
 def element_to_json(x: el.Element) -> dict:
     return {
         "characteristic": x.field.characteristic,
-        "terms": [{"key": key_to_json(k), "coeff": str(c.value)}
-                  for k, c in x.items()],
+        "terms": [{"key": key_to_json(k), "coeff": str(x.terms[k])}
+                  for k in x.support()],
     }
 
 

@@ -34,8 +34,15 @@ CASES = {
                             "a(1000000) + a(1000001) + a(1000002)",
                             "a(-999999) - p(1,3) + 5*p(2,9)"],
     "weight_char5": ["weight", "--char", "5", "3*a(2) + a(7) + s(1)"],
+    "weight_char0": ["weight", "--char", "0", "1/2*a(0) - 2/3*a(5) + s(1)"],
     "eigen_axis2_char0": ["eigen", "--char", "0", "a(1) + s(1)",
                           "--axis", "2"],
+    "eigen_p_terms_char7": ["eigen", "--char", "7",
+                            "a(-2) + 2*s(3) - p(1,3) + 3*p(2,6)",
+                            "--axis", "1"],
+    "eigen_p_terms_char0": ["eigen", "--char", "0",
+                            "1/2*a(4) - 2/3*s(3) + p(2,3) - 1/5*p(1,6)",
+                            "--axis", "-1"],
     "ideal_classify_char0": ["ideal", "classify", "--char", "0",
                              "--gen", "a(0) - a(4)"],
     "ideal_member_char0": ["ideal", "member", "--char", "0",
@@ -58,6 +65,8 @@ CASES = {
     "verify_quotients_char0": ["verify", "quotients", "--char", "0"],
     "verify_quotients_char5": ["verify", "quotients", "--char", "5"],
     "verify_quotients_char7": ["verify", "quotients", "--char", "7"],
+    "verify_twisted_char5": ["verify", "twisted", "--char", "5",
+                             "--imax", "6"],
 }
 
 

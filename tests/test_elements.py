@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import highwater.elements as el
 from highwater import GF, QQ
-from highwater.fields import Field
+from highwater.fields import Field, FieldMismatchError
 
 from conftest import FIELDS, random_element
 
@@ -156,6 +156,31 @@ def test_parts_split(field):
 
 def test_scale_by_zero(field):
     assert A(field, 3).scale(field.zero).is_zero()
+
+
+# -- the public constructor ----------------------------------------------------
+
+def test_constructor_drops_zero_coefficients(field):
+    x = el.Element(field, {("a", 0): field.zero, ("s", 1): field.one})
+    assert x == S(field, 1) and list(x.terms) == [("s", 1)]
+    z = el.Element(field, {("a", 0): field.zero})
+    assert z.is_zero() and not z
+    assert z == el.zero(field)
+    assert repr(z) == "0"
+
+
+def test_constructor_rejects_scalar_of_another_field():
+    with pytest.raises(FieldMismatchError):
+        el.Element(GF(5), {("a", 0): GF(7).scalar(6)})
+    with pytest.raises(FieldMismatchError):
+        el.Element(QQ, {("a", 0): GF(5).one})
+
+
+@pytest.mark.parametrize("value", [1, Fraction(1, 2), 0.5, "1"],
+                         ids=["int", "fraction", "float", "str"])
+def test_constructor_rejects_non_scalar_values(field, value):
+    with pytest.raises(TypeError):
+        el.Element(field, {("a", 0): value})
 
 
 # -- weight and Frobenius form ----------------------------------------------------

@@ -97,6 +97,16 @@ def test_from_fraction():
     assert QQ.from_fraction(Fraction(-3, 4)).value == Fraction(-3, 4)
 
 
+@pytest.mark.parametrize("F", [QQ, GF(5), GF(7), GF(11), GF(10 ** 9 + 7)],
+                         ids=str)
+def test_floats_rejected(F):
+    for q in (0.1, 0.5, 2.0):
+        with pytest.raises(TypeError):
+            F.from_fraction(q)
+        with pytest.raises(TypeError):
+            F.scalar(q)
+
+
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
 def test_field_axioms_sample(a, b, c):
     for F in (QQ, GF(5), GF(7)):

@@ -1,8 +1,7 @@
 """Rref and kernel_basis on seeded random rows over Q and GF(7).
 
-``Rref`` takes raw rows (``Fraction``s for ``Rref(0)``, ints in
-``range(7)`` for ``Rref(7)``); ``kernel_basis`` takes and returns
-``Scalar``s.
+Both take and return raw rows: ``Fraction``s over Q, ints in
+``range(7)`` over GF(7).
 """
 
 import random
@@ -12,13 +11,23 @@ import pytest
 
 from conftest import random_scalar
 from highwater import GF, QQ
-from highwater.fields import Scalar
-from highwater.linalg import Rref, kernel_basis, mat_vec, zeros
+from highwater.linalg import Rref, kernel_basis, mat_vec
 
 
 @pytest.fixture(params=[QQ, GF(7)], ids=lambda f: f"char{f.characteristic}")
 def field(request):
     return request.param
+
+
+def zeros(field, n):
+    return [field.zero.value] * n
+
+
+def _add_multiple(field, rng, row, other):
+    """row + c * other for a random c, reduced into the field."""
+    c = random_scalar(field, rng).value
+    p = field.characteristic
+    return [(a + c * b) % p if p else a + c * b for a, b in zip(row, other)]
 
 
 def _random_rows(field, rng, nrows, width):
@@ -28,11 +37,10 @@ def _random_rows(field, rng, nrows, width):
         if rows and rng.random() < 0.35:
             row = zeros(field, width)
             for other in rng.sample(rows, rng.randint(1, len(rows))):
-                c = random_scalar(field, rng)
-                row = [a + c * b for a, b in zip(row, other)]
+                row = _add_multiple(field, rng, row, other)
         else:
-            row = [random_scalar(field, rng) if rng.random() < 0.6
-                   else field.zero for _ in range(width)]
+            row = [random_scalar(field, rng).value if rng.random() < 0.6
+                   else field.zero.value for _ in range(width)]
         rows.append(row)
     return rows
 
@@ -40,8 +48,7 @@ def _random_rows(field, rng, nrows, width):
 def _combination(field, rng, rows, width):
     out = zeros(field, width)
     for row in rows:
-        c = random_scalar(field, rng)
-        out = [a + c * b for a, b in zip(out, row)]
+        out = _add_multiple(field, rng, out, row)
     return out
 
 
@@ -52,14 +59,10 @@ def _cases(field, seed):
         yield rng, width, _random_rows(field, rng, rng.randint(0, 8), width)
 
 
-def _raw(row):
-    return [c.value for c in row]
-
-
 def _rref(field, rows):
     rr = Rref(field.characteristic)
     for row in rows:
-        rr.insert(_raw(row))
+        rr.insert(row)
     return rr
 
 
@@ -89,17 +92,17 @@ def test_insert_rejects_span_members_and_keeps_rows(field):
     for rng, width, rows in _cases(field, 23):
         rr = _rref(field, rows)
         before = ([list(r) for r in rr.rows], list(rr.pivots))
-        assert not rr.insert(_raw(_combination(field, rng, rows, width)))
-        assert not rr.insert(_raw(zeros(field, width)))
+        assert not rr.insert(_combination(field, rng, rows, width))
+        assert not rr.insert(zeros(field, width))
         assert (rr.rows, rr.pivots) == before
 
 
 def test_residue_of_span_member_is_zero(field):
     for rng, width, rows in _cases(field, 37):
         rr = Rref(field.characteristic)
-        grew = [rr.insert(_raw(row)) for row in rows]
+        grew = [rr.insert(row) for row in rows]
         member = _combination(field, rng, rows, width)
-        assert rr.residue(_raw(member)) == [0] * width
+        assert rr.residue(member) == [0] * width
         # the rows that grew the rank are independent of the earlier ones
         assert sum(grew) == len(rr.rows)
 
@@ -115,13 +118,18 @@ def test_kernel_basis_solves_and_has_full_size(field):
         for v in basis:
             assert mat_vec(rows, v, field) == zeros(field, len(rows))
         independent = Rref(field.characteristic)
-        assert all(independent.insert(_raw(v)) for v in basis)
+        assert all(independent.insert(v) for v in basis)
 
 
-def test_kernel_basis_takes_and_returns_scalars(field):
+def test_kernel_basis_takes_and_returns_raw_values(field):
+    p = field.characteristic
     for _, _, rows in _cases(field, 61):
         for v in kernel_basis(rows, field):
-            assert all(isinstance(c, Scalar) and c.field is field for c in v)
+            if p:
+                assert all(type(c) is int and 0 <= c < p for c in v)
+            else:
+                assert all(type(c) is Fraction for c in v)
     # x - 2y = 0 has the kernel spanned by (2, 1)
-    two = field.scalar(2)
-    assert kernel_basis([[field.one, -two]], field) == [[two, field.one]]
+    one, two = field.one.value, field.scalar(2).value
+    minus_two = (-field.scalar(2)).value
+    assert kernel_basis([[one, minus_two]], field) == [[two, one]]

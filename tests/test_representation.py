@@ -1,0 +1,101 @@
+"""Every container of coefficients holds raw field values.
+
+Over F_p a stored value is an int in ``range(p)``, never a ``bool``; over
+Q it is a ``Fraction``.  Element terms never store a zero; dense vectors
+and matrices hold zeros of the same type.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+from hypothesis import given, settings, strategies as st
+
+import highwater.elements as el
+from highwater import GF, QQ
+from highwater.ideals import ideal_of
+from highwater.linalg import kernel_basis
+from highwater.quotients import FiniteAlgebra
+from highwater.textio import format_element, parse_element
+
+FIELDS = [QQ, GF(5), GF(7), GF(10 ** 9 + 7)]
+
+# degenerate subscripts (s(0), p(0,k), p(r,4), ...) are included on purpose
+_KEYS = st.one_of(
+    st.tuples(st.just("a"), st.integers(-8, 8)),
+    st.tuples(st.just("s"), st.integers(-8, 8)),
+    st.tuples(st.just("p"), st.integers(0, 2), st.integers(0, 9)))
+_COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+_TERMS = st.lists(st.tuples(_KEYS, _COEFFS), max_size=6)
+
+
+def _is_raw(field, c) -> bool:
+    p = field.characteristic
+    if p:
+        return type(c) is int and 0 <= c < p
+    return type(c) is Fraction
+
+
+def assert_element(x):
+    assert all(_is_raw(x.field, c) and c for c in x.terms.values()), x.terms
+
+
+def assert_vectors(field, vecs):
+    for v in vecs:
+        assert all(_is_raw(field, c) for c in v), v
+
+
+@lru_cache(maxsize=None)
+def _quotients(field):
+    """(ideal, quotient) pairs of every kind with a finite quotient."""
+    a = lambda i: el.axis(field, i)
+    out = []
+    for gens, j_relative in (([a(0) - a(4)], False),
+                             ([el.v_elem(field, 1)], False),
+                             ([a(0) - a(6) + el.pi(field, 1, 3)], False),
+                             ([el.pi(field, 1, 6) - el.pi(field, 1, 9)], True),
+                             ([a(0)], False)):
+        ideal = ideal_of(gens)
+        out.append((ideal, FiniteAlgebra(ideal, j_relative=j_relative)))
+    return out
+
+
+def _draw(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    x, y = (el.from_terms(field, data.draw(_TERMS)) for _ in range(2))
+    return field, x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_element_operations_store_raw_values(data):
+    field, x, y = _draw(data)
+    c = field.from_fraction(data.draw(_COEFFS))
+    shift = data.draw(st.integers(-7, 7))
+    parsed = parse_element(field, format_element(x))
+    assert parsed == x
+    for z in (x, y, x + y, x - y, -x, x - x, x.scale(c), x * c, x * 3,
+              x * y, el.apply(el.theta(shift), x), el.apply(el.tau(shift), x),
+              x.part("a"), x.part("s"), x.part("p"), parsed):
+        assert_element(z)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_reduction_and_quotients_store_raw_values(data):
+    field, x, y = _draw(data)
+    for ideal, q in _quotients(field):
+        assert_element(ideal.reduce(x))
+        # the quotient inside the radical takes elements of J only
+        u, v = (q.to_vector(z.part("p") if q.j_relative else z)
+                for z in (x, y))
+        ad = q.adjoint(u)
+        assert_vectors(field, [u, v, q.mult(u, v)] + ad)
+        assert_vectors(field, kernel_basis(ad, field))
+
+
+def test_quotient_structure_tables_store_raw_values():
+    for field in FIELDS:
+        for _, q in _quotients(field):
+            assert_vectors(field, q.structure.values())
+            assert all(_is_raw(field, c) and c
+                       for b in q.basis_labels for c in b.terms.values())

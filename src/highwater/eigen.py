@@ -5,11 +5,10 @@ Every axis a(i) acts semisimply with eigenvalues 1, 5/2, 0, 2, 1/2
 values 5/2 and 0 merge).  The decomposition at a(0) is computed slice
 by slice: the i-th slice spans a(-i), a(i), s(i), p(1,i), p(2,i) and,
 together with a share of a(0), splits exactly into the eigenvectors
-
-    u(i)  -> 0      v(i)  -> 2      w(i)  -> 1/2
-    z(i)  -> 5/2    wt(i) -> 1/2    a(0)  -> 1
-
-so the decomposition is always total and the residual is zero.
+of ``FAMILIES``, so the decomposition is always total and the residual
+is zero.  ``FAMILIES`` is the one place that pairs each family with its
+eigenvalue: ``EIGENVALUES``, ``eigendecompose`` and ``fusion_check``
+all read it.
 """
 
 from __future__ import annotations
@@ -21,8 +20,19 @@ from functools import lru_cache
 from . import elements as el
 from .fields import Field, Scalar
 
-EIGENVALUES = (Fraction(1), Fraction(5, 2), Fraction(0), Fraction(2),
-               Fraction(1, 2))
+# (name, constructor, eigenvalue) of the eigenvectors of ad a(0) that span
+# the cover.  The first row is a(0) itself, built as axis(field, 0); the
+# others are indexed by i >= 1, and z(i), wt(i) vanish unless 3 | i.
+FAMILIES = (
+    ("a", el.axis, Fraction(1)),
+    ("z", el.z_elem, Fraction(5, 2)),
+    ("u", el.u_elem, Fraction(0)),
+    ("v", el.v_elem, Fraction(2)),
+    ("w", el.w_elem, Fraction(1, 2)),
+    ("wt", el.w_tilde, Fraction(1, 2)),
+)
+
+EIGENVALUES = tuple(dict.fromkeys(q for _, _, q in FAMILIES))
 
 # fusion rule table on the rational eigenvalues; missing pairs are empty
 _F = Fraction
@@ -72,37 +82,17 @@ def fusion_law(field: Field) -> FusionLaw:
     return FusionLaw(field)
 
 
-def slice_split(x: el.Element, center: int = 0):
-    """Split x relative to an axis: (a(center) coefficient, {i: slice}).
-
-    Slice i >= 1 collects the keys a(center-i), a(center+i), s(i) and
-    p(*,i).
-    """
-    field = x.field
-    center_coeff = field.zero
-    slices: dict[int, dict] = {}
-    for key, c in x.terms.items():
-        if key[0] == "a":
-            i = abs(key[1] - center)
-            if i == 0:
-                center_coeff = Scalar(field, c)
-                continue
-        else:
-            i = key[1] if key[0] == "s" else key[2]
-        slices.setdefault(i, {})[key] = c
-    return center_coeff, {i: el.Element._of(field, t)
-                          for i, t in sorted(slices.items())}
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     axis_index: int
-    components: dict  # evaluated eigenvalue Scalar -> Element
+    components: dict  # evaluated eigenvalue Scalar -> nonzero Element
     residual: el.Element
 
     def component(self, q) -> el.Element:
+        """The component for eigenvalue q: an int, Fraction or Scalar."""
         field = self.residual.field
-        key = field.from_fraction(q) if isinstance(q, (int, Fraction)) else q
+        key = q if isinstance(q, Scalar) else field.from_fraction(q)
+        field.zero._check(key)  # a Scalar of this field, or raise
         return self.components.get(key, el.zero(field))
 
     @property
@@ -122,84 +112,78 @@ def eigendecompose(x: el.Element, axis_index: int = 0) -> EigenDecomposition:
              for lam, comp in inner.components.items()},
             el.apply(back, inner.residual))
 
-    half = field.from_fraction(Fraction(1, 2))
-    quarter = field.from_fraction(Fraction(1, 4))
-    sixteenth = field.from_fraction(Fraction(1, 16))
-    eighth = field.from_fraction(Fraction(1, 8))
-    two = field.scalar(2)
-    six = field.scalar(6)
+    # raw arithmetic: the slice coefficients are read from x.terms, each
+    # reduced mod p once, and the components are raw dicts keyed by raw
+    # eigenvalues until the end
+    p = field.characteristic
+    half, sixteenth = (field._value(Fraction(1, n)) for n in (2, 16))
+    (_, make0, lam0), *families = [(name, make, field._value(q))
+                                  for name, make, q in FAMILIES]
+    comp: dict = {}
 
-    comp: dict[Scalar, el.Element] = {}
+    def put(lam, make, i, c):
+        if p:
+            c %= p
+        if c:
+            el._add_scaled(comp.setdefault(lam, {}), c,
+                           make(field, i).terms.items(), p)
 
-    def put(q: Fraction, elem: el.Element):
-        if elem.is_zero():
-            return
-        key = field.from_fraction(q)
-        comp[key] = comp.get(key, el.zero(field)) + elem
+    get = x.terms.get
+    used = 0  # the share of a(0) held by the u and v components
+    for i in sorted({abs(k[1]) if k[0] == "a" else k[1] if k[0] == "s"
+                     else k[2] for k in x.terms} - {0}):
+        am, ap = get(("a", -i), 0), get(("a", i), 0)
+        s = get(("s", i), 0)
+        p1, p2 = get(("p", 1, i), 0), get(("p", 2, i), 0)
+        cu = (s - 2 * (am + ap)) * sixteenth    # s/16 - (am + ap)/8
+        cv = (-3 * s - 2 * (am + ap)) * sixteenth    # cu - s/4
+        coeffs = {"z": (p1 - p2 - 2 * s) * half, "u": cu, "v": cv,
+                  "w": (am - ap) * half, "wt": (p1 + p2) * half}
+        for name, make, lam in families:
+            put(lam, make, i, coeffs[name])
+        used += 6 * cu + 2 * cv
+    put(lam0, make0, 0, get(("a", 0), 0) - used)
 
-    a0_coeff, slices = slice_split(x, 0)
-    used = field.zero
-    for i, sl in slices.items():
-        am, ap = sl.coeff(("a", -i)), sl.coeff(("a", i))
-        s = sl.coeff(("s", i))
-        cw = (am - ap) * half
-        cu = s * sixteenth - (am + ap) * eighth
-        cv = cu - s * quarter
-        put(Fraction(0), el.u_elem(field, i).scale(cu))
-        put(Fraction(2), el.v_elem(field, i).scale(cv))
-        put(Fraction(1, 2), el.w_elem(field, i).scale(cw))
-        if i % 3 == 0:
-            p1, p2 = sl.coeff(("p", 1, i)), sl.coeff(("p", 2, i))
-            cwt = (p1 + p2) * half
-            cz = (p1 - p2) * half - s
-            put(Fraction(5, 2), el.z_elem(field, i).scale(cz))
-            put(Fraction(1, 2), el.w_tilde(field, i).scale(cwt))
-        used = used + six * cu + two * cv
-    put(Fraction(1), el.axis(field, 0).scale(a0_coeff - used))
-
-    total = el.zero(field)
-    for elem in comp.values():
-        total = total + elem
-    return EigenDecomposition(0, comp, x - total)
+    residual = dict(x.terms)
+    for terms in comp.values():
+        el._add_scaled(residual, -1, terms.items(), p)
+    return EigenDecomposition(
+        0, {Scalar(field, lam): el.Element._of(field, terms)
+            for lam, terms in comp.items() if terms},
+        el.Element._of(field, residual))
 
 
 def fusion_check(field: Field, i_max: int) -> dict:
     """Check every product of eigenvectors against the fusion law.
 
-    Uses the spanning eigenvectors a(0), u(i), v(i), w(i), z(i), wt(i)
+    Uses the spanning eigenvectors of ``FAMILIES``, a(0) and the others
     for 1 <= i <= i_max; returns a report with the number of products
     checked and any violations found.
     """
     law = fusion_law(field)
-    vectors: list[tuple[Fraction, str, el.Element]] = [
-        (Fraction(1), "a(0)", el.axis(field, 0))]
+    (name0, make0, lam0), *families = [(name, make, field.from_fraction(q))
+                                       for name, make, q in FAMILIES]
+    vectors = [(lam0, f"{name0}(0)", make0(field, 0))]
     for i in range(1, i_max + 1):
-        vectors.append((Fraction(0), f"u({i})", el.u_elem(field, i)))
-        vectors.append((Fraction(2), f"v({i})", el.v_elem(field, i)))
-        vectors.append((Fraction(1, 2), f"w({i})", el.w_elem(field, i)))
-        if i % 3 == 0:
-            vectors.append((Fraction(5, 2), f"z({i})", el.z_elem(field, i)))
-            vectors.append((Fraction(1, 2), f"wt({i})", el.w_tilde(field, i)))
-    vectors = [(q, n, v) for q, n, v in vectors if not v.is_zero()]
+        for name, make, lam in families:
+            v = make(field, i)
+            if v:
+                vectors.append((lam, f"{name}({i})", v))
 
     checked = 0
     violations = []
     for idx, (lam, name1, xv) in enumerate(vectors):
         for mu, name2, yv in vectors[idx:]:
-            allowed = law.allowed(field.from_fraction(lam),
-                                  field.from_fraction(mu))
+            allowed = law.allowed(lam, mu)
             dec = eigendecompose(xv * yv)
             checked += 1
             if not dec.is_total:  # pragma: no cover - defensive
                 violations.append({"pair": (name1, name2),
                                    "reason": "decomposition not total"})
                 continue
-            for ev, cmp_elem in dec.components.items():
-                if cmp_elem.is_zero() or ev in allowed:
-                    continue
-                violations.append({"pair": (name1, name2),
-                                   "eigenvalue": str(ev),
-                                   "reason": "component outside fusion law"})
+            violations += [{"pair": (name1, name2), "eigenvalue": str(ev),
+                            "reason": "component outside fusion law"}
+                           for ev in dec.components if ev not in allowed]
     return {"characteristic": field.characteristic, "i_max": i_max,
             "checked": checked, "violations": violations,
             "ok": not violations}

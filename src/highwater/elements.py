@@ -493,20 +493,21 @@ def c_elem(field: Field, i: int) -> Element:
     return from_terms(field, [(("a", 0), 2), (("a", -i), -1), (("a", i), -1)])
 
 
+def _c_shape(field: Field, i: int, m: int, n: int) -> Element:
+    """m c(i) + n s(i) + n zed(0,i), zero for i = 0."""
+    return from_terms(field, [(("a", 0), 2 * m), (("a", -i), -m),
+                              (("a", i), -m), (("s", i), n),
+                              (("p", 1, i), n), (("p", 2, i), -n)])
+
+
 def u_elem(field: Field, i: int) -> Element:
     """0-eigenvector u(i) = 3 c(i) + 4 s(i) + 4 zed(0,i)."""
-    if i == 0:
-        return Element(field)
-    return (c_elem(field, i) * 3 + sigma(field, i) * 4
-            + zed(field, 0, i) * 4)
+    return _c_shape(field, i, 3, 4)
 
 
 def v_elem(field: Field, i: int) -> Element:
     """2-eigenvector v(i) = c(i) - 4 s(i) - 4 zed(0,i)."""
-    if i == 0:
-        return Element(field)
-    return (c_elem(field, i) - sigma(field, i) * 4
-            - zed(field, 0, i) * 4)
+    return _c_shape(field, i, 1, -4)
 
 
 def w_elem(field: Field, i: int) -> Element:

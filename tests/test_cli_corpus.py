@@ -67,6 +67,12 @@ CASES = {
     "verify_quotients_char7": ["verify", "quotients", "--char", "7"],
     "verify_twisted_char5": ["verify", "twisted", "--char", "5",
                              "--imax", "6"],
+    "eigen_merged_char5": ["eigen", "--char", "5",
+                           "a(1) + s(3) + p(1,3) - 2*p(2,6)"],
+    "verify_fusion_char7": ["verify", "fusion", "--char", "7",
+                            "--imax", "6"],
+    "verify_miyamoto_char11": ["verify", "miyamoto", "--char", "11",
+                               "--imax", "6"],
 }
 
 

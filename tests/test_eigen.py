@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import highwater.elements as el
-from highwater import GF, QQ
+from highwater import GF, QQ, FieldMismatchError, parse_element
 from highwater.eigen import (eigendecompose, fusion_check, fusion_law,
                              miyamoto_consistency, miyamoto_map,
                              product_identity_suite, twisted_identity_suite)
@@ -35,9 +35,10 @@ def test_eigendecomposition_total_and_exact(field):
         total = el.zero(field)
         a0 = el.axis(field, 0)
         for q, comp in dec.components.items():
+            assert q in fusion_law(field).values
+            assert not comp.is_zero()
             total = total + comp
-            if q != field.one:
-                assert a0 * comp == comp.scale(q)
+            assert a0 * comp == comp.scale(q)
         assert total == x
 
 
@@ -51,6 +52,21 @@ def test_eigendecomposition_translated_axis(field):
         for q, comp in dec.components.items():
             if q != field.one:
                 assert a * comp == comp.scale(q)
+
+
+def test_component_keys():
+    F = GF(7)
+    dec = eigendecompose(el.axis(F, 1), 0)
+    two = dec.component(2)
+    assert two == parse_element(F, "a(-1) + 5*a(0) + a(1) + 4*s(1)")
+    assert dec.component(F.scalar(2)) == two
+    assert dec.component(Fraction(1, 2)) == dec.component(F.scalar(1, 2))
+    with pytest.raises(FieldMismatchError):
+        dec.component(GF(11).scalar(2))
+    with pytest.raises(FieldMismatchError):
+        dec.component(QQ.scalar(2))
+    with pytest.raises(TypeError):
+        dec.component(2.0)
 
 
 def test_axis_decomposes_as_itself(field):

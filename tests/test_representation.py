@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import highwater.elements as el
 from highwater import GF, QQ
+from highwater.eigen import eigendecompose, miyamoto_map
 from highwater.ideals import ideal_of
 from highwater.linalg import kernel_basis
 from highwater.quotients import FiniteAlgebra
@@ -73,9 +74,13 @@ def test_element_operations_store_raw_values(data):
     shift = data.draw(st.integers(-7, 7))
     parsed = parse_element(field, format_element(x))
     assert parsed == x
+    dec = eigendecompose(x, shift)
     for z in (x, y, x + y, x - y, -x, x - x, x.scale(c), x * c, x * 3,
               x * y, el.apply(el.theta(shift), x), el.apply(el.tau(shift), x),
-              x.part("a"), x.part("s"), x.part("p"), parsed):
+              x.part("a"), x.part("s"), x.part("p"), parsed,
+              *dec.components.values(), dec.residual, miyamoto_map(x, shift),
+              el.u_elem(field, shift), el.v_elem(field, shift),
+              el.c_elem(field, shift)):
         assert_element(z)
 
 

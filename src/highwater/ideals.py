@@ -28,12 +28,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import elements as el
-from .fields import Field, Scalar
+from .fields import Field, FieldMismatchError, Scalar
 from .linalg import Rref
 
 
 class IdealArgumentError(ValueError):
     """Raised for arguments outside an operation's domain."""
+
+
+def _check_field(field: Field, x: el.Element) -> None:
+    if x.field is not field:
+        raise FieldMismatchError(f"cannot reduce an element over {x.field} "
+                                 f"by an ideal over {field}")
 
 
 # -- ideals inside J -----------------------------------------------------------
@@ -104,6 +110,7 @@ class JIdeal:
 
     def reduce(self, x: el.Element) -> el.Element:
         """Canonical representative of x: p-support pushed below the level."""
+        _check_field(self.field, x)
         rem = x
         while True:
             p_idx = [k[2] for k in rem.terms if k[0] == "p"]
@@ -245,9 +252,7 @@ def _euclid(a: _Tracked, b: _Tracked, p: int) -> _Tracked:
         rcomb = dict(a.comb)
         db = len(b.poly) - 1
         lead_inv = pow(b.poly[-1], -1, p) if p else 1 / b.poly[-1]
-        while len(r) - 1 >= db and _poly_trim(r):
-            if len(r) - 1 < db:
-                break
+        while _poly_trim(r) and len(r) - 1 >= db:
             c = r[-1] * lead_inv
             k = len(r) - 1 - db
             for i, bc in enumerate(b.poly):
@@ -458,6 +463,7 @@ class PatternIdeal:
             k: c for k, c in zip(self.survivor_keys, vec) if c})
 
     def reduce(self, x: el.Element) -> el.Element:
+        _check_field(self.field, x)
         vec = self.to_vector(self.reduce_core(dict(x.terms)))
         return self.from_vector(self.extension.residue(vec))
 
@@ -479,6 +485,7 @@ class IdealData:
         self.pattern = pattern
 
     def reduce(self, x: el.Element) -> el.Element:
+        _check_field(self.field, x)
         if self.kind == "zero":
             return x
         if self.kind == "full":
@@ -561,23 +568,29 @@ def _reverse_elem(x: el.Element) -> el.Element:
 
 def _closure(ideal: PatternIdeal, seeds: list[el.Element]) -> None:
     """Row-reduce seed representatives into ``ideal.extension`` and close
-    the span under multiplication."""
-    field = ideal.field
-    rr = ideal.extension
+    the span under multiplication, stopping at its first pure-a member:
+    an insert whose tail (the coordinates after the a-window) does not
+    grow ``tails`` leaves one in the span.  A closure that finds none
+    runs to the end, so its span is closed.
+    """
+    field, d = ideal.field, ideal.degree
+    rr, tails = ideal.extension, Rref(ideal.p)
     queue = []
-    for s in seeds:
-        vec = ideal.to_vector(ideal.reduce_core(dict(s.terms)))
-        if rr.insert(vec):
-            queue.append(vec)
+    products = (ideal.reduce_core(dict(s.terms)) for s in seeds)
     basis_elems = [el.Element._of(field, {k: field.one.value})
                    for k in ideal.survivor_keys]
-    while queue:
-        elem = ideal.from_vector(queue.pop())
-        for b in basis_elems:
-            # a fresh product: reduce_core may consume its terms
-            w = ideal.to_vector(ideal.reduce_core((elem * b).terms))
+    while True:
+        for terms in products:
+            w = ideal.to_vector(terms)
             if rr.insert(w):
+                if not tails.insert(w[d:]):
+                    return
                 queue.append(w)
+        if not queue:
+            return
+        elem = ideal.from_vector(queue.pop())
+        # fresh products: reduce_core may consume their terms
+        products = (ideal.reduce_core((elem * b).terms) for b in basis_elems)
 
 
 def _pure_a_classes(ideal: PatternIdeal) -> list[el.Element]:
@@ -643,12 +656,13 @@ def ideal_of(generators) -> IdealData:
                              contains_j=_residue_sums_nonzero(field, alpha))
         _closure(ideal, list(gens) + [el.apply(el.tau(1), g) for g in gens])
 
-        # pure-a classes inside the closure shrink the gcd
+        # a closure stopped at pure-a members shrinks the gcd; the pool
+        # restarts from the pattern, gcd(pool), palindromic up to sign
         new_pure = _pure_a_classes(ideal)
         if new_pure:
+            pool = [ideal.x_family(0)]
             for e in new_pure:
-                pool.append(e)
-                pool.append(_reverse_elem(e))
+                pool += [e, _reverse_elem(e)]
             continue
 
         # J lies in the ideal when the extension absorbs p(1,3) and p(2,3)

@@ -3,12 +3,13 @@ import random
 import pytest
 
 import highwater.elements as el
-from highwater import GF, QQ
+from highwater import GF, QQ, FieldMismatchError
 from highwater.ideals import (IdealArgumentError, JIdeal, PatternIdeal,
                               aut_invariance_check, fold, ideal_of,
                               j_canonicalize, j_ideal_of, laurent_gcd,
                               membership, minimal_ideal_basis,
                               pure_a_extract)
+from highwater.linalg import Rref
 
 from conftest import random_element, random_scalar
 
@@ -132,6 +133,38 @@ def test_laurent_gcd_bezout(field):
         assert recovered == list(g)
 
 
+def _poly_mul(F, u, v):
+    out = [F.zero] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _random_poly(F, rng, deg):
+    """Coefficients, low order first, with nonzero ends."""
+    ends = [F.zero]
+    while not all(ends):
+        ends = [random_scalar(F, rng) for _ in range(2)]
+    mid = [random_scalar(F, rng) for _ in range(deg - 1)]
+    return [ends[0]] + mid + [ends[1]] if deg else ends[:1]
+
+
+@pytest.mark.parametrize("F", [QQ, GF(5), GF(7)], ids=str)
+def test_laurent_gcd_carries_over_a_split(F):
+    # ideal_of restarts a gcd round from the previous gcd instead of the
+    # whole pool: gcd(pool + new) == gcd([gcd(pool)] + new)
+    rng = random.Random(61 + F.characteristic)
+    for _ in range(25):
+        common = _random_poly(F, rng, rng.randint(0, 3))
+        pats = [_poly_mul(F, common, _random_poly(F, rng, rng.randint(0, 3)))
+                for _ in range(rng.randint(2, 5))]
+        k = rng.randint(1, len(pats) - 1)
+        want = laurent_gcd(F, pats)[0]
+        head = laurent_gcd(F, pats[:k])[0]
+        assert laurent_gcd(F, [list(head)] + pats[k:])[0] == want
+
+
 # -- pattern ideals -----------------------------------------------------------------
 
 def test_minimal_ideal_basis_members(field):
@@ -215,7 +248,40 @@ def test_far_reduction(F):
     assert ideal.contains(x - r)
 
 
+def test_reduce_rejects_another_field():
+    F7, F5 = GF(7), GF(5)
+    ideal = ideal_of([A(F7, 0) - A(F7, 4)])
+    in_j = ideal_of([P(F7, 1, 6) - P(F7, 1, 9)])
+    for reduce in (ideal.reduce, ideal.contains, ideal.pattern.reduce,
+                   in_j.reduce, in_j.j_ideal.reduce,
+                   ideal_of([el.zero(F7)]).reduce,
+                   ideal_of([A(F7, 0)]).reduce):
+        for x in (A(F5, 9), P(F5, 1, 3), A(QQ, 1)):
+            with pytest.raises(FieldMismatchError):
+                reduce(x)
+
+
 # -- classification of generated ideals ----------------------------------------------
+
+@pytest.mark.parametrize("F", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("n", [6, 16, 30])
+def test_family_classification_inserts_stay_few(monkeypatch, F, n):
+    # a gcd round's closure stops at its first pure-a member, so a round
+    # that only shrinks the pattern inserts a few rows, however large n
+    calls = []
+    insert = Rref.insert
+
+    def counting(self, v):
+        calls.append(v)
+        return insert(self, v)
+
+    monkeypatch.setattr(Rref, "insert", counting)
+    for g in (A(F, 0) - A(F, n),
+              A(F, 0).scale(F.scalar(2)) - A(F, -n) - A(F, n)):
+        calls.clear()
+        assert ideal_of([g]).kind == "pattern"
+        assert len(calls) <= 16
+
 
 def test_zero_and_full(field):
     assert ideal_of([el.zero(field)]).kind == "zero"

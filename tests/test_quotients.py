@@ -5,7 +5,7 @@ import pytest
 import highwater.elements as el
 import highwater.linalg as linalg
 import highwater.quotients as quotients
-from highwater import GF, QQ
+from highwater import GF, QQ, FieldMismatchError
 from highwater.ideals import ideal_of
 from highwater.quotients import (AxisOrbit, FiniteAlgebra, QuotientError,
                                  axis_orbit, eigenspace_split, family_Hn,
@@ -34,6 +34,13 @@ def test_quotient_rejects_infinite_codimension(field):
 def test_full_ideal_gives_zero_algebra(field):
     q = FiniteAlgebra(ideal_of([A(field, 0)]))
     assert q.dim == 0
+
+
+def test_to_vector_rejects_another_field():
+    q = FiniteAlgebra(ideal_of([A(GF(7), 0) - A(GF(7), 4)]))
+    for x in (A(GF(5), 3), A(QQ, 3)):
+        with pytest.raises(FieldMismatchError):
+            q.to_vector(x)
 
 
 def test_small_quotient_basis():

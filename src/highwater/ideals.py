@@ -555,11 +555,11 @@ def _residue_sums_nonzero(field: Field, alpha) -> bool:
 
 # -- the general classification engine -------------------------------------------
 
-def _pattern_of_pure_a(x: el.Element) -> list:
-    """Raw coefficient list of a pure-a element, lowest exponent moved to 0."""
+def _pattern_of_pure_a(x: el.Element) -> tuple:
+    """Raw coefficients of a pure-a element, lowest exponent moved to 0."""
     idx = {k[1]: c for k, c in x.terms.items()}
     zero = x.field.zero.value
-    return [idx.get(i, zero) for i in range(min(idx), max(idx) + 1)]
+    return tuple(idx.get(i, zero) for i in range(min(idx), max(idx) + 1))
 
 
 def _reverse_elem(x: el.Element) -> el.Element:
@@ -636,8 +636,9 @@ def ideal_of(generators) -> IdealData:
             pool.append(_reverse_elem(e))
 
     while True:
-        gcd_coeffs, _ = laurent_gcd(field,
-                                    [_pattern_of_pure_a(e) for e in pool])
+        # duplicates leave the gcd as it is: pass each pattern once
+        gcd_coeffs, _ = laurent_gcd(field, list(dict.fromkeys(
+            _pattern_of_pure_a(e) for e in pool)))
         if sum(gcd_coeffs, field.zero):
             return IdealData(field, "full")
 

@@ -27,7 +27,9 @@ class FiniteAlgebra:
 
     ``basis_keys`` are single basis keys of the big algebra whose images
     form a basis of the quotient; structure constants are stored as a map
-    (i, j) with i <= j to the coefficient vector of the product.
+    (i, j) with i <= j to the coefficient vector of the product.  The table
+    is built from the images of the keys of the products: each key outside
+    the basis is reduced once, and an entry sums the scaled images.
 
     Coordinate vectors, the ``structure`` table and the matrices of
     ``adjoint`` and ``induced_map`` hold raw field values (ints in
@@ -63,12 +65,23 @@ class FiniteAlgebra:
         self._key_pos = {k: i for i, k in enumerate(self.basis_keys)}
         self.basis_labels = [el.Element._of(field, {k: field.one.value})
                              for k in self.basis_keys]
+        # reduction is linear: an entry is sum c * image(key) over the keys
+        # of a product; a basis key is its own image, any other is reduced once
+        p, n, one = field.characteristic, self.dim, field.one.value
+        images = {k: [(t, one)] for t, k in enumerate(self.basis_keys)}
         self.structure: dict[tuple[int, int], list] = {}
-        n = self.dim
         for i in range(n):
             for j in range(i, n):
                 prod = self.basis_labels[i] * self.basis_labels[j]
-                self.structure[(i, j)] = self.to_vector(prod)
+                acc = {}
+                for key, c in prod.terms.items():
+                    if key not in images:
+                        img = self.to_vector(el.Element._of(field, {key: one}))
+                        images[key] = [(t, s) for t, s in enumerate(img) if s]
+                    el._add_scaled(acc, c, images[key], p)
+                self.structure[(i, j)] = vec = [field.zero.value] * n
+                for t, s in acc.items():
+                    vec[t] = s
 
     @property
     def dim(self) -> int:
@@ -85,13 +98,19 @@ class FiniteAlgebra:
             vec[pos] = c
         return vec
 
+    def _check(self, *vecs) -> None:
+        if any(len(v) != self.dim for v in vecs):
+            raise QuotientError(f"coordinate vectors need length {self.dim}")
+
     def from_vector(self, vec) -> el.Element:
         """The canonical representative with the given coordinates."""
+        self._check(vec)
         return el.Element._of(self.field, {
             k: c for k, c in zip(self.basis_keys, vec) if c})
 
     def mult(self, u, v) -> list:
         """Product of two coordinate vectors via the structure constants."""
+        self._check(u, v)
         p = self.field.characteristic
         out = [self.field.zero.value] * self.dim
         for i, a in enumerate(u):
@@ -109,6 +128,7 @@ class FiniteAlgebra:
 
     def adjoint(self, u) -> list[list]:
         """Matrix of left multiplication by the coordinate vector ``u``."""
+        self._check(u)
         cols = [self.mult(u, e) for e in _identity(self.field, self.dim)]
         return [list(row) for row in zip(*cols)]
 

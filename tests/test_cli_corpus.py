@@ -73,6 +73,10 @@ CASES = {
                             "--imax", "6"],
     "verify_miyamoto_char11": ["verify", "miyamoto", "--char", "11",
                                "--imax", "6"],
+    "quotient_j_relative_char7": ["quotient", "--char", "7",
+                                  "--gen", "p(1,12)", "--j-relative"],
+    "quotient_pattern_char5": ["quotient", "--char", "5",
+                               "--gen", "2*a(0) - a(-6) - a(6)"],
 }
 
 

@@ -283,6 +283,24 @@ def test_family_classification_inserts_stay_few(monkeypatch, F, n):
         assert len(calls) <= 16
 
 
+def test_ideal_of_passes_each_pattern_once(monkeypatch):
+    import highwater.ideals as ideals
+    from test_ideal_fingerprint import sweep
+    rounds = []
+    gcd = ideals.laurent_gcd
+
+    def spy(field, patterns):
+        patterns = [tuple(pat) for pat in patterns]
+        rounds.append(patterns)
+        return gcd(field, patterns)
+
+    monkeypatch.setattr(ideals, "laurent_gcd", spy)
+    for _, gens in sweep():
+        ideal_of(gens)
+    assert rounds
+    assert all(len(set(pats)) == len(pats) for pats in rounds)
+
+
 def test_zero_and_full(field):
     assert ideal_of([el.zero(field)]).kind == "zero"
     full = ideal_of([A(field, 0)])

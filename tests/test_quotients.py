@@ -6,12 +6,13 @@ import highwater.elements as el
 import highwater.linalg as linalg
 import highwater.quotients as quotients
 from highwater import GF, QQ, FieldMismatchError
-from highwater.ideals import ideal_of
+from highwater.ideals import IdealData, ideal_of
 from highwater.quotients import (AxisOrbit, FiniteAlgebra, QuotientError,
                                  axis_orbit, eigenspace_split, family_Hn,
                                  family_Ln, miyamoto_matrix, small_quotient_suite)
 
 from conftest import random_element
+from test_ideal_fingerprint import ideals as sweep_ideals
 
 
 def A(F, i):
@@ -43,6 +44,18 @@ def test_to_vector_rejects_another_field():
             q.to_vector(x)
 
 
+def test_coordinate_vectors_of_wrong_length_raise(field):
+    q = family_Hn(2, field)
+    one, zero = field.one.value, field.zero.value
+    good = [one, zero, zero]
+    for bad in ([one], [one, zero], good + [one]):
+        for call in (lambda: q.mult(bad, good), lambda: q.mult(good, bad),
+                     lambda: q.adjoint(bad), lambda: q.weight(bad)):
+            with pytest.raises(QuotientError):
+                call()
+    assert q.mult(good, good) == good
+
+
 def test_small_quotient_basis():
     q = FiniteAlgebra(ideal_of([A(QQ, 0) - A(QQ, 2)]))
     assert q.dim == 3
@@ -62,6 +75,55 @@ def test_family_dimensions_with_p_span():
     # the n = 3 double-axis ideal swallows the p-span in every characteristic
     assert family_Ln(3, GF(5)).dim == 8
     assert family_Ln(6, GF(5)).dim == 19
+
+
+def _in_j_generators(F):
+    P = lambda r, k: el.pi(F, r, k)
+    return [[P(1, 12)], [P(1, 6) - P(1, 9)],
+            [P(1, 3).scale(F.scalar(2)) + P(2, 9) - P(1, 15)],
+            [P(1, 9) - P(2, 12), P(2, 18)]]
+
+
+@pytest.mark.parametrize("F", [QQ, GF(5), GF(7), GF(11), GF(13)], ids=str)
+def test_structure_matches_product_images(F):
+    # the table, built from once-reduced key images, agrees entry by entry
+    # with reducing each product of basis labels
+    sources = [ideal for ideal in sweep_ideals().values()
+               if ideal.field is F and ideal.kind != "zero"]
+    sources += [ideal_of(gens) for gens in _in_j_generators(F)]
+    seen = set()
+    for ideal in sources:
+        q = FiniteAlgebra(ideal, j_relative=ideal.kind == "in_j")
+        labels = q.basis_labels
+        for i in range(q.dim):
+            for j in range(i, q.dim):
+                assert q.structure[(i, j)] == q.to_vector(
+                    labels[i] * labels[j])
+        seen.add("extension" if ideal.kind == "pattern"
+                 and ideal.pattern.extension_rows else ideal.kind)
+    assert seen == {"extension", "pattern", "full", "in_j"}
+
+
+@pytest.mark.parametrize("F", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("n", [16, 30])
+def test_table_reduces_few_keys(monkeypatch, F, n):
+    # each distinct key of the products is reduced once, not each product
+    calls = []
+    reduce = IdealData.reduce
+
+    def counting(self, x):
+        calls.append(x)
+        return reduce(self, x)
+
+    for g in (A(F, 0) - A(F, n),
+              A(F, 0).scale(F.scalar(2)) - A(F, -n) - A(F, n)):
+        ideal = ideal_of([g])
+        monkeypatch.setattr(IdealData, "reduce", counting)
+        calls.clear()
+        q = FiniteAlgebra(ideal)
+        monkeypatch.undo()
+        assert q.dim > 1
+        assert len(calls) <= 2 * q.dim + 2
 
 
 # -- the homomorphism property -------------------------------------------------------

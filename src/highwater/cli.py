@@ -2,14 +2,17 @@
 
 Every subcommand requires an explicit ``--char`` (0 or a prime other than
 2 and 3); there is no default characteristic.  Exit codes: 0 on success,
-1 when a verification suite reports a failure, 2 on usage errors.
+1 when a verification suite reports a failure, 2 on usage errors, and
+141, the shell's code for SIGPIPE, when standard output closes early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import suppress
 
 from . import elements as el
 from .eigen import (eigendecompose, fusion_check, miyamoto_consistency,
@@ -53,7 +56,7 @@ def _emit(args, payload: dict, text: str) -> None:
         except OSError as e:
             raise _UsageError(f"cannot write {args.out}: {e.strerror}")
     else:
-        print(out)
+        print(out, flush=True)
 
 
 def _cmd_mul(args) -> int:
@@ -274,6 +277,12 @@ def main(argv=None) -> int:
     except (_UsageError, ParseError, IdealArgumentError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left (``| head``): exit as SIGPIPE would, with stdout
+        # on devnull so that the flush at exit cannot raise again
+        with suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -400,6 +400,16 @@ def _key_product(k1: Key, k2: Key) -> tuple[tuple[Key, int], ...]:
     return tuple(acc.items())
 
 
+def _pair_product(k1: Key, k2: Key):
+    """k1 * k2 as (key, n) pairs, looked up translated by the multiple of
+    3 in an axis subscript, as Element.__mul__ does inline."""
+    i = k1[1] if k1[0] == "a" else k2[1] if k2[0] == "a" else 0
+    t = i - i % 3
+    pair = [("a", k[1] - t) if k[0] == "a" else k for k in (k1, k2)]
+    return [(("a", k[1] + t) if k[0] == "a" else k, n)
+            for k, n in _key_product(*pair)]
+
+
 # -- automorphisms ------------------------------------------------------------
 #
 # The relevant symmetries act on axis subscripts by i -> sign*i + shift.

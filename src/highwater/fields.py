@@ -96,12 +96,14 @@ class Field:
 
     def _value(self, q: Fraction | int):
         """The raw value of a rational: itself over Q, a residue mod p."""
+        p = self.characteristic
+        if type(q) is int:
+            return q % p if p else Fraction(q)
         if isinstance(q, float):
             raise TypeError("floats are not exact; pass an int or Fraction")
-        q = Fraction(q)
-        p = self.characteristic
         if p == 0:
-            return q
+            return q if type(q) is Fraction else Fraction(q)
+        q = Fraction(q)
         den = q.denominator % p
         if den == 0:
             raise ZeroDivisionError(

@@ -26,6 +26,7 @@ reduction to zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import elements as el
 from .fields import Field, FieldMismatchError, Scalar
@@ -321,7 +322,9 @@ class PatternIdeal:
     ``reduce_core`` takes and returns a ``{key: value}`` dict, and the
     vectors of ``to_vector``, ``from_vector`` and the ``extension`` rows
     are raw.  Only ``alpha``, a tuple of single coefficients passed in,
-    holds ``Scalar``s.
+    holds ``Scalar``s.  Inside, ``reduce_core`` sweeps integer numerators
+    over one denominator (1 over F_p) against the families times L, the
+    lcm of alpha's denominators, and makes one ``Fraction`` per term out.
     """
 
     def __init__(self, field: Field, alpha, epsilon: int, contains_j: bool):
@@ -336,13 +339,13 @@ class PatternIdeal:
         self.survivor_keys = self._survivors()
         self._key_pos = {k: i for i, k in enumerate(self.survivor_keys)}
         self.extension = Rref(self.p)
-        # raw values for reduce_core: (j, alpha_j) for the nonzero
-        # alpha_j, which the Element constructor unwraps, 1/alpha_0 and 1/2
+        # (j, L * alpha_j) for the nonzero alpha_j, which Element unwraps,
+        # and the family tops L, L * alpha_0 and 2L, inverted over F_p
         x0 = el.Element(field, {("a", j): c for j, c in enumerate(alpha)})
-        self._support = sorted((key[1], c) for key, c in x0.terms.items())
-        a0 = self._support[0][1]
-        self._a0_inv = pow(a0, -1, self.p) if self.p else 1 / a0
-        self._half = field._value(Fraction(1, 2))
+        self._scale = L = lcm(*(c.denominator for c in x0.terms.values()))
+        self._support = sorted((k[1], int(c * L)) for k, c in x0.terms.items())
+        tops = (L, self._support[0][1], 2 * L)
+        self._tops = [pow(t, -1, self.p) for t in tops] if self.p else tops
         # the lowest s- and p-level that the families reduce
         d = self.degree
         self._cutoff = d // 2 if d % 2 == 0 and epsilon == 1 else d // 2 + 1
@@ -373,11 +376,11 @@ class PatternIdeal:
 
     # -- the three spanning families ------------------------------------
 
-    def _fold(self, k: int, step: int) -> dict:
-        """Raw coefficients by level of sum_j alpha_j at level |k - j|.
+    def _fold(self, k: int, step: int, head: tuple) -> list:
+        """Terms ``(head + (level,), L * c)`` of sum_j alpha_j at level
+        |k - j|, for levels that are positive multiples of ``step``.
 
-        Only levels that are positive multiples of ``step`` are kept:
-        step 1 gives the s-family member y_k, step 3 the p-family
+        Step 1 gives the s-family member y_k, step 3 the p-family
         member p_k.  Both have top level D - k when k <= D/2.
         """
         p = self.p
@@ -387,65 +390,72 @@ class PatternIdeal:
             if i and not i % step:
                 c += out.get(i, 0)
                 out[i] = c % p if p else c
-        return {i: c for i, c in out.items() if c}
+        return [(head + (i,), c) for i, c in out.items() if c]
+
+    def _family(self, terms: list) -> el.Element:
+        """The element of scaled integer ``terms``, divided by L."""
+        return el.Element._of(self.field, dict(terms) if self.p else {
+            k: Fraction(c, self._scale) for k, c in terms})
 
     def x_family(self, k: int) -> el.Element:
         """Shifted pattern element: sum_i alpha[i] a(i + k)."""
-        return el.Element._of(self.field,
-                              {("a", j + k): c for j, c in self._support})
+        return self._family([(("a", j + k), c) for j, c in self._support])
 
     def y_family(self, k: int) -> el.Element:
         """Folded s-element y_k = sum_j alpha_j s(|k - j|)."""
-        return el.Element._of(self.field, {
-            ("s", i): c for i, c in self._fold(k, 1).items()})
+        return self._family(self._fold(k, 1, ("s",)))
 
     def p_family(self, k: int, residue: int) -> el.Element:
         """Folded p-element sum_j alpha_j p(residue, |k - j|), 3 | k - j."""
-        return el.Element._of(self.field, {
-            ("p", residue, i): c for i, c in self._fold(k, 3).items()})
+        return self._family(self._fold(k, 3, ("p", residue)))
 
     # -- reduction -------------------------------------------------------
 
     def reduce_core(self, rem: dict) -> dict:
         """Reduce raw terms ``{key: value}`` against the minimal-ideal
-        families only, in place; returns ``rem``."""
-        d, p, half = self.degree, self.p, self._half
-        support = self._support
+        families only; may consume ``rem``, and returns the result."""
+        d, p, support = self.degree, self.p, self._support
+        top, bottom, top2 = self._tops
+        den = 1 if p else lcm(*(c.denominator for c in rem.values()))
+        if not p:
+            rem = {k: c.numerator * (den // c.denominator)
+                   for k, c in rem.items()}
+
+        def cancel(c, t, family):
+            # rem -= c / t * family, where c is rem at the top t of family
+            nonlocal den
+            if not p and c % t:
+                s = abs(t) // gcd(c, t)
+                for k in rem:
+                    rem[k] *= s
+                den, c = den * s, c * s
+            el._add_scaled(rem, -(c * t % p if p else c // t), family, p)
+
         # a-part into the window [0, D-1]
-        while True:
-            idx = [k[1] for k in rem if k[0] == "a"]
-            if not idx:
-                break
+        while idx := [k[1] for k in rem if k[0] == "a"]:
             m = max(idx)
             if m >= d:
-                k, c = m - d, rem[("a", m)]
+                k, c, t = m - d, rem[("a", m)], top
             else:
                 k = min(idx)
                 if k >= 0:
                     break
-                c = rem[("a", k)] * self._a0_inv
-            el._add_scaled(rem, -c, [(("a", j + k), a) for j, a in support],
-                           p)
+                c, t = rem[("a", k)], bottom
+            cancel(c, t, [(("a", j + k), a) for j, a in support])
         # p-part: collapse entirely when J is inside
         if self.contains_j:
             for key in [k for k in rem if k[0] == "p"]:
                 del rem[key]
         # s- and p-parts below the survivor cutoff, top level first; the
-        # family member with top level n has top coefficient
-        # alpha_{D-2n} + 1: 1 above D/2, and 2 at n = D/2, which is
-        # reducible only when epsilon = alpha_0 = 1
+        # fold with top level n has top L * (alpha_{D-2n} + 1): L above
+        # D/2, and 2L at D/2, reducible only when epsilon = alpha_0 = 1
         for kind, step in (("s", 1), ("p", 3)):
-            while True:
-                tops = [(k[-1], k) for k in rem
-                        if k[0] == kind and k[-1] >= self._cutoff]
-                if not tops:
-                    break
-                n, top = max(tops)
-                c = rem[top] * (half if 2 * n == d else 1)
-                fold = self._fold(d - n, step)
-                el._add_scaled(rem, -c, [(top[:-1] + (i,), b)
-                                         for i, b in fold.items()], p)
-        return rem
+            while tops := [(k[-1], k) for k in rem
+                           if k[0] == kind and k[-1] >= self._cutoff]:
+                n, key = max(tops)
+                cancel(rem[key], top2 if 2 * n == d else top,
+                       self._fold(d - n, step, key[:-1]))
+        return rem if p else {k: Fraction(c, den) for k, c in rem.items()}
 
     def to_vector(self, rem: dict) -> list:
         """Raw coordinates over ``survivor_keys`` of reduced raw terms."""

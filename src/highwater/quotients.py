@@ -27,9 +27,9 @@ class FiniteAlgebra:
 
     ``basis_keys`` are single basis keys of the big algebra whose images
     form a basis of the quotient; structure constants are stored as a map
-    (i, j) with i <= j to the coefficient vector of the product.  The table
-    is built from the images of the keys of the products: each key outside
-    the basis is reduced once, and an entry sums the scaled images.
+    (i, j) with i <= j to the coefficient vector of the product.  An entry
+    sums n * image(key) over the cached product (n/8 times each key) of its
+    basis keys, scaled by 1/8 once; keys outside the basis are reduced once.
 
     Coordinate vectors, the ``structure`` table and the matrices of
     ``adjoint`` and ``induced_map`` hold raw field values (ints in
@@ -65,23 +65,22 @@ class FiniteAlgebra:
         self._key_pos = {k: i for i, k in enumerate(self.basis_keys)}
         self.basis_labels = [el.Element._of(field, {k: field.one.value})
                              for k in self.basis_keys]
-        # reduction is linear: an entry is sum c * image(key) over the keys
-        # of a product; a basis key is its own image, any other is reduced once
+        # reduction is linear: the image of an entry is the sum of images
         p, n, one = field.characteristic, self.dim, field.one.value
+        inv8 = field.scalar(1, 8).value
         images = {k: [(t, one)] for t, k in enumerate(self.basis_keys)}
         self.structure: dict[tuple[int, int], list] = {}
-        for i in range(n):
+        for i, ki in enumerate(self.basis_keys):
             for j in range(i, n):
-                prod = self.basis_labels[i] * self.basis_labels[j]
                 acc = {}
-                for key, c in prod.terms.items():
+                for key, c in el._pair_product(ki, self.basis_keys[j]):
                     if key not in images:
                         img = self.to_vector(el.Element._of(field, {key: one}))
                         images[key] = [(t, s) for t, s in enumerate(img) if s]
                     el._add_scaled(acc, c, images[key], p)
                 self.structure[(i, j)] = vec = [field.zero.value] * n
                 for t, s in acc.items():
-                    vec[t] = s
+                    vec[t] = s * inv8 % p if p else s * inv8
 
     @property
     def dim(self) -> int:

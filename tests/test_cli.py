@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 from importlib.resources import files
 
 import jsonschema
@@ -157,3 +159,18 @@ def test_verify_rejects_imax_below_one(capsys, imax):
 def test_families_rejects_max_n_below_one(capsys):
     _one_line_usage_error(*run(capsys, "families", "--char", "0",
                                "--max-n", "0"))
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone, as under ``| head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_quietly_with_sigpipe_code(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["ideal", "member", "--char", "0", "--gen",
+                 "3*s(3) - 7/3*s(4)", "--elt", "a(60) - s(41)"])
+    assert code == 141
+    assert capsys.readouterr().err == ""

@@ -77,6 +77,11 @@ CASES = {
                                   "--gen", "p(1,12)", "--j-relative"],
     "quotient_pattern_char5": ["quotient", "--char", "5",
                                "--gen", "2*a(0) - a(-6) - a(6)"],
+    "quotient_nonintegral_char0": ["quotient", "--char", "0",
+                                   "--gen", "3*s(3) - 7/3*s(4)"],
+    "ideal_member_nonintegral_char0": [
+        "ideal", "member", "--char", "0", "--gen", "3*s(3) - 7/3*s(4)",
+        "--elt", "a(60) - s(41)"],
 }
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,7 @@ from highwater.ideals import (IdealArgumentError, JIdeal, PatternIdeal,
                               aut_invariance_check, fold, ideal_of,
                               j_canonicalize, j_ideal_of, laurent_gcd,
                               membership, minimal_ideal_basis,
-                              pure_a_extract)
+                              pure_a_extract, _residue_sums_nonzero)
 from highwater.linalg import Rref
 
 from conftest import random_element, random_scalar
@@ -246,6 +247,92 @@ def test_far_reduction(F):
     assert ideal.reduce(r) == r
     assert set(r.terms) <= set(ideal.pattern.survivor_keys)
     assert ideal.contains(x - r)
+
+
+def _power_mod(alpha, n):
+    """Coefficients of t^n mod alpha(t), low order first, by long division
+    of Fraction polynomials; alpha is monic, low order first."""
+    d = len(alpha) - 1
+    r = [Fraction(0)] * n + [Fraction(1)]
+    for m in range(n, d - 1, -1):
+        if c := r[m]:
+            for j, a in enumerate(alpha):
+                r[m - d + j] -= c * a
+    return (r + [Fraction(0)] * d)[:d]
+
+
+# t^4 - 1; a non-integral palindrome; (1 - t^5)^2, whose fold at level
+# D/2 = 5 has top 2
+_ORACLE_PATTERNS = {
+    "t4-1": ((-1, 0, 0, 0, 1), -1),
+    "nonintegral": ((1, Fraction(-9, 7), 0, 0, Fraction(4, 7), 0, 0,
+                     Fraction(-9, 7), 1), 1),
+    "square": ((1, 0, 0, 0, 0, -2, 0, 0, 0, 0, 1), 1),
+}
+
+
+def _oracle_cases():
+    for name, (alpha, eps) in _ORACLE_PATTERNS.items():
+        # 7 divides the denominators of the non-integral pattern
+        for F in (QQ, GF(7)) if name != "nonintegral" else (QQ,):
+            d = len(alpha) - 1
+            for n in (d, 3 * d + 1, 200):
+                yield pytest.param(F, alpha, eps, n,
+                                   id=f"{name}-{F}-{n}")
+
+
+@pytest.mark.parametrize("F, alpha, eps, n", _oracle_cases())
+def test_reduce_core_matches_division_oracle(F, alpha, eps, n):
+    alpha = [Fraction(c) for c in alpha]
+    scalars = [F.from_fraction(c) for c in alpha]
+    pat = PatternIdeal(F, scalars, eps,
+                       contains_j=_residue_sums_nonzero(F, scalars))
+    d, one = pat.degree, F.one.value
+    half = F._value(Fraction(1, 2))
+    # a(n) and a(n)/2 reduce to t^n mod alpha and half of it
+    expect = {("a", i): F._value(c)
+              for i, c in enumerate(_power_mod(alpha, n)) if F._value(c)}
+    assert pat.reduce_core({("a", n): one}) == expect
+    assert pat.reduce_core({("a", n): half}) == {
+        k: c * half % F.characteristic if F.characteristic else c * half
+        for k, c in expect.items()}
+    # a(-n) reduces to r with t^n r(t) = 1 mod alpha
+    r = pat.reduce_core({("a", -n): one})
+    back = [Fraction(0)] * d
+    for (_, i), c in r.items():
+        for t, b in enumerate(_power_mod(alpha, n + i)):
+            back[t] += Fraction(c) * b
+    assert [F._value(c) for c in back] == [one] + [F.zero.value] * (d - 1)
+    # s- and p-inputs, with denominators over Q; s(D/2) alone has an odd
+    # numerator at the top 2L of its fold when epsilon = 1
+    m = 3 * (n // 3 + 1)
+    members = minimal_ideal_basis(F, pat.alpha, eps, m) \
+        if n <= 3 * d + 1 else None
+    for x in (el.from_terms(F, [(("s", n), Fraction(1, 3)),
+                                (("s", n - 1), -2), (("p", 1, m), 1),
+                                (("p", 2, m), Fraction(5, 2)),
+                                (("a", n), Fraction(2, 9))]),
+              el.sigma(F, d // 2)):
+        r = el.Element._of(F, pat.reduce_core(dict(x.terms)))
+        assert pat.reduce_core(dict(r.terms)) == r.terms
+        assert set(r.terms) <= set(pat.survivor_keys)
+        assert pat.reduce(x - r).is_zero()
+        if members is not None:
+            # x - r lies in the span of the explicit spanning families
+            span, keys = Rref(F.characteristic), {}
+            for y in members + [x - r]:
+                for k in y.terms:
+                    keys.setdefault(k, len(keys))
+            for y in members:
+                span.insert(_dense(y, keys, F))
+            assert not span.insert(_dense(x - r, keys, F))
+
+
+def _dense(y, keys, F):
+    vec = [F.zero.value] * len(keys)
+    for k, c in y.terms.items():
+        vec[keys[k]] = c
+    return vec
 
 
 def test_reduce_rejects_another_field():

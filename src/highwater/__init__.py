@@ -18,7 +18,7 @@ from .ideals import (IdealArgumentError, IdealData, JIdeal, PatternIdeal,
                      minimal_ideal_basis, pure_a_extract)
 from .quotients import (AxisOrbit, FiniteAlgebra, QuotientError, axis_orbit,
                         eigenspace_split, family_Hn, family_Ln,
-                        miyamoto_matrix, quotient, small_quotient_suite)
+                        miyamoto_matrix, small_quotient_suite)
 
 __all__ = [
     "Field", "GF", "QQ", "Scalar", "FieldMismatchError",
@@ -37,5 +37,5 @@ __all__ = [
     "pure_a_extract",
     "AxisOrbit", "FiniteAlgebra", "QuotientError", "axis_orbit",
     "eigenspace_split", "family_Hn", "family_Ln", "miyamoto_matrix",
-    "quotient", "small_quotient_suite",
+    "small_quotient_suite",
 ]

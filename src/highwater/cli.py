@@ -127,7 +127,7 @@ def _cmd_ideal_member(args) -> int:
 
 def _quotient_payload(q: FiniteAlgebra) -> dict:
     n = q.dim
-    table = [[[str(c) for c in q.structure[(j, i)]]
+    table = [[[str(c) for c in q._dense(q.structure[(j, i)])]
               for j in range(i + 1)] for i in range(n)]
     return {"command": "quotient", "field": q.field.characteristic,
             "dim": n,

@@ -6,8 +6,10 @@ error instead of a silent coercion.  Characteristic 0 scalars wrap
 ``range(p)``.
 
 A ``Scalar`` is the type of a single coefficient at the API edge.  Every
-container of coefficients in the engine (element terms, ``Rref`` rows,
-quotient vectors, tables and matrices) holds these raw values instead.
+container of coefficients in the engine holds these raw values instead.
+The sparse containers are dicts without zero values: element terms,
+``Rref`` rows, extension coordinates and quotient table entries.  The
+dense ones are lists: quotient coordinate vectors and matrices.
 """
 
 from __future__ import annotations

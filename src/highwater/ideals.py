@@ -314,17 +314,19 @@ class PatternIdeal:
     degree D; ``epsilon`` the palindrome sign.  ``extension`` is an
     ``Rref`` of canonical-representative vectors over ``survivor_keys``
     spanning the part of the ideal beyond the minimal one; it starts
-    empty and ``ideal_of`` fills it.  Its pivots are the survivor keys
-    that the extension eliminates.
+    empty and ``ideal_of`` fills it.  Its pivots are the positions of the
+    survivor keys that the extension eliminates.
 
     Like every container of coefficients, the reduction path holds raw
-    field values (ints in ``range(p)``, or ``Fraction``s over Q):
-    ``reduce_core`` takes and returns a ``{key: value}`` dict, and the
-    vectors of ``to_vector``, ``from_vector`` and the ``extension`` rows
-    are raw.  Only ``alpha``, a tuple of single coefficients passed in,
-    holds ``Scalar``s.  Inside, ``reduce_core`` sweeps integer numerators
-    over one denominator (1 over F_p) against the families times L, the
-    lcm of alpha's denominators, and makes one ``Fraction`` per term out.
+    field values (ints in ``range(p)``, or ``Fraction``s over Q), and it
+    holds them sparse, without zero values: ``reduce_core`` takes and
+    returns a ``{key: value}`` dict, and ``to_vector``, ``from_vector``
+    and the ``extension`` rows use ``{position: value}`` dicts over
+    ``survivor_keys``.  Only ``alpha``, a tuple of single coefficients
+    passed in, holds ``Scalar``s.  Inside, ``reduce_core`` sweeps integer
+    numerators over one denominator (1 over F_p) against the families
+    times L, the lcm of alpha's denominators, and makes one ``Fraction``
+    per term out.
     """
 
     def __init__(self, field: Field, alpha, epsilon: int, contains_j: bool):
@@ -355,8 +357,9 @@ class PatternIdeal:
         return len(self.alpha) - 1
 
     @property
-    def extension_rows(self) -> list[list]:
-        return self.extension.rows
+    def extension_rows(self) -> list[dict]:
+        """The ``extension`` rows in the order of their pivots."""
+        return [row for _, row in sorted(self.extension.rows.items())]
 
     def _survivors(self) -> list:
         d = self.degree
@@ -457,9 +460,9 @@ class PatternIdeal:
                        self._fold(d - n, step, key[:-1]))
         return rem if p else {k: Fraction(c, den) for k, c in rem.items()}
 
-    def to_vector(self, rem: dict) -> list:
-        """Raw coordinates over ``survivor_keys`` of reduced raw terms."""
-        vec = [self.field.zero.value] * len(self.survivor_keys)
+    def to_vector(self, rem: dict) -> dict:
+        """``{position: value}`` over ``survivor_keys`` of reduced terms."""
+        vec = {}
         for key, c in rem.items():
             pos = self._key_pos.get(key)
             if pos is None:  # pragma: no cover - reduce_core precludes this
@@ -467,10 +470,11 @@ class PatternIdeal:
             vec[pos] = c
         return vec
 
-    def from_vector(self, vec) -> el.Element:
-        """The element with raw coordinates ``vec`` over ``survivor_keys``."""
-        return el.Element._of(self.field, {
-            k: c for k, c in zip(self.survivor_keys, vec) if c})
+    def from_vector(self, vec: dict) -> el.Element:
+        """The element with ``{position: value}`` over ``survivor_keys``."""
+        keys = self.survivor_keys
+        return el.Element._of(self.field,
+                              {keys[i]: c for i, c in vec.items()})
 
     def reduce(self, x: el.Element) -> el.Element:
         _check_field(self.field, x)
@@ -593,7 +597,7 @@ def _closure(ideal: PatternIdeal, seeds: list[el.Element]) -> None:
         for terms in products:
             w = ideal.to_vector(terms)
             if rr.insert(w):
-                if not tails.insert(w[d:]):
+                if not tails.insert({i: c for i, c in w.items() if i >= d}):
                     return
                 queue.append(w)
         if not queue:
@@ -609,13 +613,12 @@ def _pure_a_classes(ideal: PatternIdeal) -> list[el.Element]:
     The a-window coordinates come first among the survivor keys; with
     them moved last, the rows that pivot in them have a zero tail.
     """
-    d = ideal.degree
-    tail = len(ideal.survivor_keys) - d
+    d, n = ideal.degree, len(ideal.survivor_keys)
     rr = Rref(ideal.p)
-    for row in ideal.extension.rows:
-        rr.insert(row[d:] + row[:d])
-    return [ideal.from_vector(row[tail:] + row[:tail])
-            for row, piv in zip(rr.rows, rr.pivots) if piv >= tail]
+    for row in ideal.extension.rows.values():
+        rr.insert({(i - d) % n: c for i, c in row.items()})
+    return [ideal.from_vector({(i + d) % n: c for i, c in row.items()})
+            for piv, row in rr.rows.items() if piv >= n - d]
 
 
 def ideal_of(generators) -> IdealData:

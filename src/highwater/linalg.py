@@ -1,12 +1,15 @@
-"""Tiny exact linear algebra over a Field (dense, list-of-lists).
+"""Tiny exact linear algebra over a Field.
 
-Vectors and matrices hold raw field values, as every container of
-coefficients does: ints in ``range(p)`` over F_p, ``Fraction``s over Q
-(``p == 0``).  Results come back in the same canonical form.
+Values are raw field values, as in every container of coefficients:
+ints in ``range(p)`` over F_p, ``Fraction``s over Q (``p == 0``).
+``Rref`` rows are sparse ``{column: value}`` dicts without zero values;
+the vectors and matrices of ``vec_scale``, ``mat_vec``, ``mat_mul`` and
+``kernel_basis`` are dense lists and list-of-lists.
 """
 
 from __future__ import annotations
 
+from .elements import _add_scaled
 from .fields import Field
 
 Vec = list
@@ -15,13 +18,13 @@ Mat = list
 
 def vec_scale(u: Vec, c, p: int) -> Vec:
     """c * u for a raw value c."""
-    return _canonical([a * c for a in u], p)
+    return [a * c % p for a in u] if p else [a * c for a in u]
 
 
 def mat_vec(m: Mat, v: Vec, field: Field) -> Vec:
-    zero = field.zero.value
-    return _canonical([sum((a * b for a, b in zip(row, v)), zero)
-                       for row in m], field.characteristic)
+    p, zero = field.characteristic, field.zero.value
+    out = [sum((a * b for a, b in zip(row, v)), zero) for row in m]
+    return [a % p for a in out] if p else out
 
 
 def mat_mul(a: Mat, b: Mat, field: Field) -> Mat:
@@ -30,61 +33,45 @@ def mat_mul(a: Mat, b: Mat, field: Field) -> Mat:
 
 
 class Rref:
-    """A row-reduced spanning set with incremental insertion.
+    """A row-reduced spanning set of sparse rows with incremental insertion.
 
-    Rows hold raw field values: ints in ``range(p)`` over F_p, or
-    ``Fraction``s over Q (``p == 0``).  They are kept in reduced row
-    echelon form, sorted by pivot column; the pivot of a row is its
-    first nonzero entry.
+    ``rows`` maps each pivot column to its row, a ``{column: value}`` dict
+    of nonzero raw values.  The rows are in reduced row echelon form: the
+    pivot of a row is its lowest column and holds 1, and no other row
+    holds that column.
     """
 
     def __init__(self, p: int):
         self.p = p
-        self.rows: list[Vec] = []
-        self.pivots: list[int] = []
+        self.rows: dict[int, dict] = {}
 
-    def residue(self, v: Vec) -> Vec:
-        """v reduced against the rows; zero exactly when v is in the span."""
-        v = list(v)
-        # a pivot column is zero in every other row, so v[piv] is read
-        # before any row changes it; the other entries are reduced mod p
-        # once, at the end
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c:
-                for i, b in enumerate(row):
-                    if b:
-                        v[i] -= c * b
-        return _canonical(v, self.p)
+    def residue(self, v: dict) -> dict:
+        """v reduced against the rows, as a new dict; empty exactly when v
+        is in the span."""
+        out, rows = dict(v), self.rows
+        # a row is zero at every other pivot, so v's value at a pivot is
+        # the multiple of that row to subtract, whatever the order
+        for piv, c in v.items():
+            row = rows.get(piv)
+            if row is not None:
+                _add_scaled(out, -c, row.items(), self.p)
+        return out
 
-    def insert(self, v: Vec) -> bool:
+    def insert(self, v: dict) -> bool:
         """Insert v into the span; returns True if the rank grew."""
         v = self.residue(v)
-        piv = next((i for i, a in enumerate(v) if a), None)
-        if piv is None:
+        if not v:
             return False
-        p = self.p
+        p, piv = self.p, min(v)
         inv = pow(v[piv], -1, p) if p else 1 / v[piv]
-        v = _canonical([a * inv for a in v], p)
-        nonzero = [(i, b) for i, b in enumerate(v) if b]
-        # back-substitute into existing rows
-        for idx, row in enumerate(self.rows):
-            c = row[piv]
-            if c:
-                row = list(row)
-                for i, b in nonzero:
-                    row[i] -= c * b
-                self.rows[idx] = _canonical(row, p)
-        pos = next((i for i, q in enumerate(self.pivots) if q > piv),
-                   len(self.pivots))
-        self.rows.insert(pos, v)
-        self.pivots.insert(pos, piv)
+        v = {i: a * inv % p if p else a * inv for i, a in v.items()}
+        # back-substitute into the rows that hold the new pivot column
+        for row in self.rows.values():
+            c = row.get(piv)
+            if c is not None:
+                _add_scaled(row, -c, v.items(), p)
+        self.rows[piv] = v
         return True
-
-
-def _canonical(v: Vec, p: int) -> Vec:
-    """Entries of v as field values: residues mod p, or unchanged over Q."""
-    return [a % p for a in v] if p else v
 
 
 def kernel_basis(m: Mat, field: Field) -> list[Vec]:
@@ -95,16 +82,16 @@ def kernel_basis(m: Mat, field: Field) -> list[Vec]:
     p = field.characteristic
     rr = Rref(p)
     for row in m:
-        rr.insert(row)
-    pivset = set(rr.pivots)
+        rr.insert({j: a for j, a in enumerate(row) if a})
     basis = []
     for j in range(ncols):
-        if j in pivset:
+        if j in rr.rows:
             continue
         v = [field.zero.value] * ncols
         v[j] = field.one.value
-        for row, piv in zip(rr.rows, rr.pivots):
-            if row[j]:
-                v[piv] = p - row[j] if p else -row[j]
+        for piv, row in rr.rows.items():
+            c = row.get(j)
+            if c is not None:
+                v[piv] = p - c if p else -c
         basis.append(v)
     return basis

@@ -27,14 +27,15 @@ class FiniteAlgebra:
 
     ``basis_keys`` are single basis keys of the big algebra whose images
     form a basis of the quotient; structure constants are stored as a map
-    (i, j) with i <= j to the coefficient vector of the product.  An entry
-    sums n * image(key) over the cached product (n/8 times each key) of its
+    (i, j) with i <= j to the coordinates of the product, a sparse
+    ``{position: value}`` dict without zero values.  An entry sums
+    n * image(key) over the cached product (n/8 times each key) of its
     basis keys, scaled by 1/8 once; keys outside the basis are reduced once.
 
-    Coordinate vectors, the ``structure`` table and the matrices of
+    Coordinate vectors, the ``structure`` entries and the matrices of
     ``adjoint`` and ``induced_map`` hold raw field values (ints in
     ``range(p)``, or ``Fraction``s over Q); only ``weight`` returns a
-    ``Scalar``.
+    ``Scalar``.  Coordinate vectors and matrices are dense lists.
     """
 
     def __init__(self, source_ideal: IdealData, j_relative: bool = False):
@@ -59,43 +60,51 @@ class FiniteAlgebra:
                                for h in range(1, k) for r in (1, 2)]
         else:
             pat = source_ideal.pattern
-            pivots = set(pat.extension.pivots)
             self.basis_keys = [key for i, key in enumerate(pat.survivor_keys)
-                               if i not in pivots]
+                               if i not in pat.extension.rows]
         self._key_pos = {k: i for i, k in enumerate(self.basis_keys)}
         self.basis_labels = [el.Element._of(field, {k: field.one.value})
                              for k in self.basis_keys]
         # reduction is linear: the image of an entry is the sum of images
         p, n, one = field.characteristic, self.dim, field.one.value
         inv8 = field.scalar(1, 8).value
-        images = {k: [(t, one)] for t, k in enumerate(self.basis_keys)}
-        self.structure: dict[tuple[int, int], list] = {}
+        images = {k: {t: one} for t, k in enumerate(self.basis_keys)}
+        self.structure: dict[tuple[int, int], dict] = {}
         for i, ki in enumerate(self.basis_keys):
             for j in range(i, n):
                 acc = {}
                 for key, c in el._pair_product(ki, self.basis_keys[j]):
                     if key not in images:
-                        img = self.to_vector(el.Element._of(field, {key: one}))
-                        images[key] = [(t, s) for t, s in enumerate(img) if s]
-                    el._add_scaled(acc, c, images[key], p)
-                self.structure[(i, j)] = vec = [field.zero.value] * n
-                for t, s in acc.items():
-                    vec[t] = s * inv8 % p if p else s * inv8
+                        images[key] = self._image(
+                            el.Element._of(field, {key: one}))
+                    el._add_scaled(acc, c, images[key].items(), p)
+                self.structure[(i, j)] = {
+                    t: s * inv8 % p if p else s * inv8 for t, s in acc.items()}
 
     @property
     def dim(self) -> int:
         return len(self.basis_keys)
 
-    def to_vector(self, x: el.Element) -> list:
-        """Coordinates of the image of ``x`` in the quotient basis."""
-        rem = self.source_ideal.reduce(x)
-        vec = [self.field.zero.value] * self.dim
-        for key, c in rem.terms.items():
+    def _image(self, x: el.Element) -> dict:
+        """``{position: value}`` of the image of ``x`` in the basis."""
+        vec = {}
+        for key, c in self.source_ideal.reduce(x).terms.items():
             pos = self._key_pos.get(key)
             if pos is None:  # pragma: no cover - reduce precludes this
                 raise QuotientError(f"key {key} outside the quotient basis")
             vec[pos] = c
         return vec
+
+    def _dense(self, vec: dict) -> list:
+        """The coordinate list of a ``{position: value}`` dict."""
+        out = [self.field.zero.value] * self.dim
+        for t, c in vec.items():
+            out[t] = c
+        return out
+
+    def to_vector(self, x: el.Element) -> list:
+        """Coordinates of the image of ``x`` in the quotient basis."""
+        return self._dense(self._image(x))
 
     def _check(self, *vecs) -> None:
         if any(len(v) != self.dim for v in vecs):
@@ -120,9 +129,8 @@ class FiniteAlgebra:
                     continue
                 c = a * b
                 row = self.structure[(i, j) if i <= j else (j, i)]
-                for t, s in enumerate(row):
-                    if s:
-                        out[t] += c * s
+                for t, s in row.items():
+                    out[t] += c * s
         return [x % p for x in out] if p else out
 
     def adjoint(self, u) -> list[list]:
@@ -143,17 +151,12 @@ class FiniteAlgebra:
         m = [list(row) for row in zip(*cols)]
         for i in range(self.dim):
             for j in range(i, self.dim):
-                lhs = linalg.mat_vec(m, self.structure[(i, j)], self.field)
+                lhs = linalg.mat_vec(m, self._dense(self.structure[(i, j)]),
+                                     self.field)
                 rhs = self.mult(cols[i], cols[j])
                 if lhs != rhs:
                     return None
         return m
-
-
-def quotient(source_ideal: IdealData,
-             j_relative: bool = False) -> FiniteAlgebra:
-    """Finite quotient by a classified ideal of finite codimension."""
-    return FiniteAlgebra(source_ideal, j_relative=j_relative)
 
 
 # -- Miyamoto machinery inside a quotient ---------------------------------------

@@ -85,6 +85,14 @@ def ideals():
     return {name: ideal_of(gens) for name, gens in sweep()}
 
 
+def dense(vec: dict, n: int, field) -> list:
+    """The length-n list of a sparse ``{position: value}`` vector."""
+    out = [field.zero.value] * n
+    for i, c in vec.items():
+        out[i] = c
+    return out
+
+
 def fingerprint(ideal) -> dict:
     rec = {"summary": ideal.summary()}
     if ideal.kind == "zero":
@@ -92,11 +100,13 @@ def fingerprint(ideal) -> dict:
     q = FiniteAlgebra(ideal, j_relative=ideal.kind == "in_j")
     rows = pivots = []
     if ideal.kind == "pattern":
-        rows = ideal.pattern.extension.rows
-        pivots = ideal.pattern.extension.pivots
-    rec["pivots"] = list(pivots)
+        pat = ideal.pattern
+        pivots = sorted(pat.extension.rows)
+        rows = [dense(pat.extension.rows[piv], len(pat.survivor_keys),
+                      ideal.field) for piv in pivots]
+    rec["pivots"] = pivots
     text = repr(([[str(c) for c in row] for row in rows],
-                 sorted((k, [str(c) for c in v])
+                 sorted((k, [str(c) for c in dense(v, q.dim, ideal.field)])
                         for k, v in q.structure.items())))
     rec["digest"] = hashlib.sha256(text.encode()).hexdigest()[:16]
     return rec
@@ -124,11 +134,28 @@ def test_pattern_extensions_are_closed():
         field = pat.field
         keys = [el.Element._of(field, {k: field.one.value})
                 for k in pat.survivor_keys]
-        for row in pat.extension.rows:
+        for row in pat.extension.rows.values():
             x = pat.from_vector(row)
             for b in keys:
                 w = pat.to_vector(pat.reduce_core(dict((x * b).terms)))
-                assert not any(pat.extension.residue(w))
+                assert not pat.extension.residue(w)
+                checked += 1
+    assert checked
+
+
+def test_pattern_quotient_keys_reduce_to_themselves():
+    # a basis key of a pattern quotient is its own canonical
+    # representative, so its coordinates form a unit vector
+    checked = 0
+    for ideal in ideals().values():
+        if ideal.kind != "pattern":
+            continue
+        pat = ideal.pattern
+        one = pat.field.one.value
+        for i, key in enumerate(pat.survivor_keys):
+            if i not in pat.extension.rows:
+                x = el.Element._of(pat.field, {key: one})
+                assert pat.reduce(x).terms == {key: one}
                 checked += 1
     assert checked
 

@@ -324,15 +324,13 @@ def test_reduce_core_matches_division_oracle(F, alpha, eps, n):
                 for k in y.terms:
                     keys.setdefault(k, len(keys))
             for y in members:
-                span.insert(_dense(y, keys, F))
-            assert not span.insert(_dense(x - r, keys, F))
+                span.insert(_coords(y, keys))
+            assert not span.insert(_coords(x - r, keys))
 
 
-def _dense(y, keys, F):
-    vec = [F.zero.value] * len(keys)
-    for k, c in y.terms.items():
-        vec[keys[k]] = c
-    return vec
+def _coords(y, keys):
+    """``{column: value}`` of y, with a column per key in ``keys``."""
+    return {keys[k]: c for k, c in y.terms.items()}
 
 
 def test_reduce_rejects_another_field():

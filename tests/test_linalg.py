@@ -1,7 +1,9 @@
 """Rref and kernel_basis on seeded random rows over Q and GF(7).
 
-Both take and return raw rows: ``Fraction``s over Q, ints in
-``range(7)`` over GF(7).
+Both take and return raw values: ``Fraction``s over Q, ints in
+``range(7)`` over GF(7).  The random rows are dense lists; ``Rref``
+takes them as sparse ``{column: value}`` dicts, and ``kernel_basis`` as
+they are.
 """
 
 import random
@@ -23,9 +25,11 @@ def zeros(field, n):
     return [field.zero.value] * n
 
 
-def _add_multiple(field, rng, row, other):
-    """row + c * other for a random c, reduced into the field."""
-    c = random_scalar(field, rng).value
+def _add_multiple(field, rng, row, other, c=None):
+    """row + c * other, for a random c unless one is given, reduced into
+    the field."""
+    if c is None:
+        c = random_scalar(field, rng).value
     p = field.characteristic
     return [(a + c * b) % p if p else a + c * b for a, b in zip(row, other)]
 
@@ -59,50 +63,82 @@ def _cases(field, seed):
         yield rng, width, _random_rows(field, rng, rng.randint(0, 8), width)
 
 
+def _sparse(row):
+    return {j: a for j, a in enumerate(row) if a}
+
+
 def _rref(field, rows):
     rr = Rref(field.characteristic)
     for row in rows:
-        rr.insert(row)
+        rr.insert(_sparse(row))
     return rr
 
 
+def _reference_rref(field, rows):
+    """``{pivot: dense row}`` by Gauss-Jordan elimination of all rows."""
+    p = field.characteristic
+    done = {}
+    for row in rows:
+        for piv, other in done.items():
+            row = _add_multiple(field, None, row, other, -row[piv])
+        piv = next((j for j, a in enumerate(row) if a), None)
+        if piv is None:
+            continue
+        row = _add_multiple(field, None, zeros(field, len(row)), row,
+                            pow(row[piv], -1, p) if p else 1 / row[piv])
+        for q in done:
+            done[q] = _add_multiple(field, None, done[q], row, -done[q][piv])
+        done[piv] = row
+    return done
+
+
 def test_rows_are_reduced_and_sorted_by_pivot(field):
-    for _, _, rows in _cases(field, 11):
+    for _, width, rows in _cases(field, 11):
         rr = _rref(field, rows)
-        assert all(p < q for p, q in zip(rr.pivots, rr.pivots[1:]))
-        for row, piv in zip(rr.rows, rr.pivots):
-            assert next(i for i, a in enumerate(row) if a) == piv
-        for i, piv in enumerate(rr.pivots):
-            column = [row[piv] for row in rr.rows]
-            assert column == [1 if j == i else 0
-                              for j in range(len(rr.rows))]
+        assert {piv: _sparse(row) for piv, row in
+                _reference_rref(field, rows).items()} == rr.rows
+        for piv, row in rr.rows.items():
+            assert min(row) == piv and row[piv] == 1
+            assert all(row.values())
+            assert all(0 <= j < width for j in row)
+            assert [q for q, other in rr.rows.items() if piv in other] \
+                == [piv]
 
 
 def test_rows_hold_raw_field_values(field):
     p = field.characteristic
     for _, _, rows in _cases(field, 17):
-        for row in _rref(field, rows).rows:
+        for row in _rref(field, rows).rows.values():
+            assert all(row.values())
             if p:
-                assert all(type(a) is int and 0 <= a < p for a in row)
+                assert all(type(a) is int and 0 <= a < p
+                           for a in row.values())
             else:
-                assert all(isinstance(a, Fraction) for a in row if a)
+                assert all(isinstance(a, Fraction) for a in row.values())
 
 
 def test_insert_rejects_span_members_and_keeps_rows(field):
     for rng, width, rows in _cases(field, 23):
         rr = _rref(field, rows)
-        before = ([list(r) for r in rr.rows], list(rr.pivots))
-        assert not rr.insert(_combination(field, rng, rows, width))
-        assert not rr.insert(zeros(field, width))
-        assert (rr.rows, rr.pivots) == before
+        before = {piv: dict(row) for piv, row in rr.rows.items()}
+        assert not rr.insert(_sparse(_combination(field, rng, rows, width)))
+        assert not rr.insert({})
+        assert rr.rows == before
 
 
 def test_residue_of_span_member_is_zero(field):
     for rng, width, rows in _cases(field, 37):
         rr = Rref(field.characteristic)
-        grew = [rr.insert(row) for row in rows]
-        member = _combination(field, rng, rows, width)
-        assert rr.residue(member) == [0] * width
+        grew = [rr.insert(_sparse(row)) for row in rows]
+        member = _sparse(_combination(field, rng, rows, width))
+        kept = dict(member)
+        assert rr.residue(member) == {}
+        assert member == kept
+        # any residue is zero at the pivots, and its argument is kept
+        v = _sparse([random_scalar(field, rng).value for _ in range(width)])
+        kept = dict(v)
+        assert not set(rr.residue(v)) & set(rr.rows)
+        assert v == kept
         # the rows that grew the rank are independent of the earlier ones
         assert sum(grew) == len(rr.rows)
 
@@ -118,7 +154,7 @@ def test_kernel_basis_solves_and_has_full_size(field):
         for v in basis:
             assert mat_vec(rows, v, field) == zeros(field, len(rows))
         independent = Rref(field.characteristic)
-        assert all(independent.insert(v) for v in basis)
+        assert all(independent.insert(_sparse(v)) for v in basis)
 
 
 def test_kernel_basis_takes_and_returns_raw_values(field):

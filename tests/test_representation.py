@@ -1,8 +1,9 @@
 """Every container of coefficients holds raw field values.
 
 Over F_p a stored value is an int in ``range(p)``, never a ``bool``; over
-Q it is a ``Fraction``.  Element terms never store a zero; dense vectors
-and matrices hold zeros of the same type.
+Q it is a ``Fraction``.  Element terms and the sparse entries of a
+quotient's structure table never store a zero; dense vectors and
+matrices hold zeros of the same type.
 """
 
 from fractions import Fraction
@@ -101,6 +102,8 @@ def test_reduction_and_quotients_store_raw_values(data):
 def test_quotient_structure_tables_store_raw_values():
     for field in FIELDS:
         for _, q in _quotients(field):
-            assert_vectors(field, q.structure.values())
+            entries = [e.values() for e in q.structure.values()]
+            assert_vectors(field, entries)
+            assert all(all(e) for e in entries)
             assert all(_is_raw(field, c) and c
                        for b in q.basis_labels for c in b.terms.values())

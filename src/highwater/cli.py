@@ -140,9 +140,15 @@ def _cmd_quotient(args) -> int:
     gens = _parse_gens(field, args.gen)
     if args.collapse_j:
         gens.append(el.pi(field, 1, 3))
+    ideal = ideal_of(gens)
+    if ideal.kind == "in_j" and not args.j_relative:
+        raise _UsageError("an ideal inside the radical has infinite "
+                          "codimension; pass --j-relative")
+    if ideal.kind == "pattern" and args.j_relative:
+        raise _UsageError("--j-relative only applies to radical ideals")
     try:
-        q = FiniteAlgebra(ideal_of(gens), j_relative=args.j_relative)
-    except (QuotientError, IdealArgumentError) as e:
+        q = FiniteAlgebra(ideal, j_relative=args.j_relative)
+    except QuotientError as e:
         raise _UsageError(str(e))
     payload = _quotient_payload(q)
     text = (f"dim {q.dim}; basis " +

@@ -150,19 +150,12 @@ class Element:
         p = field.characteristic
         # over Q, clear denominators: self = X/dx and other = Y/dy with X
         # and Y integral; over F_p the values are ints already
-        left, right = self.terms.items(), list(other.terms.items())
-        dx = dy = 1
-        if not p:
-            dx = lcm(*(c.denominator for c in self.terms.values()))
-            dy = lcm(*(c.denominator for c in other.terms.values()))
-            left = [(k, c.numerator * (dx // c.denominator))
-                    for k, c in left]
-            right = [(k, c.numerator * (dy // c.denominator))
-                     for k, c in right]
+        dx, left = _integral(self.terms, p)
+        dy, right = _integral(other.terms, p)
         acc: dict[Key, int] = {}
         get = acc.get
-        for k1, n1 in left:
-            for k2, n2 in right:
+        for k1, n1 in left.items():
+            for k2, n2 in right.items():
                 # translate the pair by a multiple of 3 taken from its axis
                 # subscript; see the comment above _merge
                 if k1[0] == "a":
@@ -219,6 +212,16 @@ class Element:
     def __repr__(self):
         from .textio import format_element
         return format_element(self)
+
+
+def _integral(terms: dict, p: int) -> tuple[int, dict]:
+    """``(den, {key: den * value})`` with integer values: over Q, den is
+    the lcm of the denominators; over F_p, ``(1, terms)``."""
+    if p:
+        return 1, terms
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {k: c.numerator * (den // c.denominator)
+                 for k, c in terms.items()}
 
 
 def _add_scaled(acc: dict, c, terms, p: int) -> None:

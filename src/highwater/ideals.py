@@ -228,7 +228,7 @@ def pure_a_extract(g: el.Element) -> el.Element:
     return y - el.apply(el.theta(3), y)
 
 
-# -- polynomial gcd with shift-combination tracking ----------------------------
+# -- polynomial gcd with optional shift-combination tracking -------------------
 
 def _poly_trim(poly: list) -> list:
     while poly and not poly[-1]:
@@ -236,45 +236,48 @@ def _poly_trim(poly: list) -> list:
     return poly
 
 
-class _Tracked:
-    """A polynomial plus its expression over the shifted inputs."""
-
-    __slots__ = ("poly", "comb")
-
-    def __init__(self, poly, comb):
-        self.poly = poly          # raw values, low order first
-        self.comb = comb          # {(input_index, shift): raw value}
-
-
-def _euclid(a: _Tracked, b: _Tracked, p: int) -> _Tracked:
-    while b.poly:
+def _euclid(a: tuple, b: tuple, p: int) -> tuple:
+    """gcd of ``(poly, comb)`` pairs: raw values, low order first, and the
+    expression ``{(input_index, shift): raw value}`` over the shifted
+    inputs, or None when the combination is not tracked."""
+    while b[0]:
         # divide a by b, keeping only the remainder
-        r = list(a.poly)
-        rcomb = dict(a.comb)
-        db = len(b.poly) - 1
-        lead_inv = pow(b.poly[-1], -1, p) if p else 1 / b.poly[-1]
+        r, (bpoly, bcomb) = list(a[0]), b
+        rcomb = None if a[1] is None else dict(a[1])
+        db = len(bpoly) - 1
+        lead_inv = pow(bpoly[-1], -1, p) if p else 1 / bpoly[-1]
         while _poly_trim(r) and len(r) - 1 >= db:
             c = r[-1] * lead_inv
             k = len(r) - 1 - db
-            for i, bc in enumerate(b.poly):
+            for i, bc in enumerate(bpoly):
                 v = r[k + i] - c * bc
                 r[k + i] = v % p if p else v
-            # rcomb -= c * t^k * b.comb
-            el._add_scaled(rcomb, -c, [((idx, sh + k), v) for (idx, sh), v
-                                       in b.comb.items()], p)
+            if rcomb is not None:  # rcomb -= c * t^k * bcomb
+                el._add_scaled(rcomb, -c, [((idx, sh + k), v) for (idx, sh), v
+                                           in bcomb.items()], p)
             _poly_trim(r)
-        a, b = b, _Tracked(_poly_trim(r), rcomb)
+        a, b = b, (_poly_trim(r), rcomb)
     return a
 
 
-def _normalize_tracked(t: _Tracked, p: int) -> _Tracked:
-    low = next(i for i, c in enumerate(t.poly) if c)
-    poly = t.poly[low:]
+def _normalize(poly: list, comb, p: int) -> tuple:
+    """The pair shifted to exponent 0 and scaled to be monic."""
+    low = next(i for i, c in enumerate(poly) if c)
+    poly = poly[low:]
     inv = pow(poly[-1], -1, p) if p else 1 / poly[-1]
     poly = [c * inv % p if p else c * inv for c in poly]
-    comb = {(idx, sh - low): v * inv % p if p else v * inv
-            for (idx, sh), v in t.comb.items()}
-    return _Tracked(poly, comb)
+    if comb is not None:
+        comb = {(idx, sh - low): v * inv % p if p else v * inv
+                for (idx, sh), v in comb.items()}
+    return poly, comb
+
+
+def _gcd(p: int, items: list) -> tuple:
+    """The monic gcd ``(poly, comb)`` of nonzero ``(poly, comb)`` pairs."""
+    acc = _normalize(*items[0], p)
+    for item in items[1:]:
+        acc = _normalize(*_euclid(acc, item, p), p)
+    return acc
 
 
 def laurent_gcd(field: Field, patterns):
@@ -285,23 +288,21 @@ def laurent_gcd(field: Field, patterns):
     ``(gcd_coeffs, combination)`` where combination is a list of
     ``(input_index, shift, coeff)`` triples expressing the gcd as a sum
     of shifted scalar multiples of the inputs; the coefficients are
-    ``Scalar``s, the working polynomials raw values.
+    ``Scalar``s, the working polynomials raw values.  ``ideal_of``, which
+    needs only the gcd, runs the same Euclid untracked on raw values.
     """
-    p = field.characteristic
-    tracked = []
+    items = []
     for idx, pat in enumerate(patterns):
         poly = _poly_trim([c.value if isinstance(c, Scalar)
                            else field._value(c) for c in pat])
         if poly:
-            tracked.append(_Tracked(poly, {(idx, 0): field.one.value}))
-    if not tracked:
+            items.append((poly, {(idx, 0): field.one.value}))
+    if not items:
         raise IdealArgumentError("all patterns are zero")
-    acc = _normalize_tracked(tracked[0], p)
-    for item in tracked[1:]:
-        acc = _normalize_tracked(_euclid(acc, item, p), p)
-    coeffs = tuple(Scalar(field, c) for c in acc.poly)
+    poly, comb = _gcd(field.characteristic, items)
+    coeffs = tuple(Scalar(field, c) for c in poly)
     combo = sorted((idx, sh, Scalar(field, c))
-                   for (idx, sh), c in acc.comb.items())
+                   for (idx, sh), c in comb.items())
     return coeffs, combo
 
 
@@ -419,10 +420,7 @@ class PatternIdeal:
         families only; may consume ``rem``, and returns the result."""
         d, p, support = self.degree, self.p, self._support
         top, bottom, top2 = self._tops
-        den = 1 if p else lcm(*(c.denominator for c in rem.values()))
-        if not p:
-            rem = {k: c.numerator * (den // c.denominator)
-                   for k, c in rem.items()}
+        den, rem = el._integral(rem, p)
 
         def cancel(c, t, family):
             # rem -= c / t * family, where c is rem at the top t of family
@@ -462,13 +460,8 @@ class PatternIdeal:
 
     def to_vector(self, rem: dict) -> dict:
         """``{position: value}`` over ``survivor_keys`` of reduced terms."""
-        vec = {}
-        for key, c in rem.items():
-            pos = self._key_pos.get(key)
-            if pos is None:  # pragma: no cover - reduce_core precludes this
-                raise IdealArgumentError(f"key {key} outside survivor span")
-            vec[pos] = c
-        return vec
+        # reduce_core leaves only survivor keys
+        return {self._key_pos[key]: c for key, c in rem.items()}
 
     def from_vector(self, vec: dict) -> el.Element:
         """The element with ``{position: value}`` over ``survivor_keys``."""
@@ -576,10 +569,6 @@ def _pattern_of_pure_a(x: el.Element) -> tuple:
     return tuple(idx.get(i, zero) for i in range(min(idx), max(idx) + 1))
 
 
-def _reverse_elem(x: el.Element) -> el.Element:
-    return el.apply(_TAU0, x)
-
-
 def _closure(ideal: PatternIdeal, seeds: list[el.Element]) -> None:
     """Row-reduce seed representatives into ``ideal.extension`` and close
     the span under multiplication, stopping at its first pure-a member:
@@ -587,12 +576,21 @@ def _closure(ideal: PatternIdeal, seeds: list[el.Element]) -> None:
     grow ``tails`` leaves one in the span.  A closure that finds none
     runs to the end, so its span is closed.
     """
-    field, d = ideal.field, ideal.degree
-    rr, tails = ideal.extension, Rref(ideal.p)
+    p, d, keys = ideal.p, ideal.degree, ideal.survivor_keys
+    rr, tails = ideal.extension, Rref(p)
     queue = []
     products = (ideal.reduce_core(dict(s.terms)) for s in seeds)
-    basis_elems = [el.Element._of(field, {k: field.one.value})
-                   for k in ideal.survivor_keys]
+
+    def times_keys(w):
+        # w * key for each survivor key from the key-pair cache, as integer
+        # terms: scaling by 8 and by w's denominator leaves the span alone
+        w = [(keys[i], c) for i, c in el._integral(w, p)[1].items()]
+        for b in keys:
+            acc = {}
+            for k, c in w:
+                el._add_scaled(acc, c, el._pair_product(k, b), p)
+            yield acc
+
     while True:
         for terms in products:
             w = ideal.to_vector(terms)
@@ -602,9 +600,8 @@ def _closure(ideal: PatternIdeal, seeds: list[el.Element]) -> None:
                 queue.append(w)
         if not queue:
             return
-        elem = ideal.from_vector(queue.pop())
         # fresh products: reduce_core may consume their terms
-        products = (ideal.reduce_core((elem * b).terms) for b in basis_elems)
+        products = map(ideal.reduce_core, times_keys(queue.pop()))
 
 
 def _pure_a_classes(ideal: PatternIdeal) -> list[el.Element]:
@@ -636,47 +633,40 @@ def ideal_of(generators) -> IdealData:
         return IdealData(field, "in_j", j_ideal=j_ideal_of(gens))
 
     # harvest pure-a members: generators, products with the first two
-    # axes, reflected images, plus reversals for palindromic symmetry
-    pool: list[el.Element] = []
+    # axes and reflected images; their patterns and, for palindromic
+    # symmetry, the reversed ones (the patterns of the reflections by tau0)
+    pool = []
     a0, a1 = el.axis(field, 0), el.axis(field, 1)
     for g in gens:
         for h in (g, g * a0, g * a1, el.apply(el.tau(0), g),
                   el.apply(el.tau(1), g)):
-            if h.is_zero() or h.in_p_span():
-                continue
-            e = pure_a_extract(h)
-            pool.append(e)
-            pool.append(_reverse_elem(e))
+            if not (h.is_zero() or h.in_p_span()):
+                pool.append(_pattern_of_pure_a(pure_a_extract(h)))
 
+    p = field.characteristic
     while True:
         # duplicates leave the gcd as it is: pass each pattern once
-        gcd_coeffs, _ = laurent_gcd(field, list(dict.fromkeys(
-            _pattern_of_pure_a(e) for e in pool)))
-        if sum(gcd_coeffs, field.zero):
+        alpha, _ = _gcd(p, [(pat, None) for pat in dict.fromkeys(
+            q for pat in pool for q in (pat, pat[::-1]))])
+        if sum(alpha) % p if p else sum(alpha):
             return IdealData(field, "full")
 
-        alpha = list(gcd_coeffs)
-        d = len(alpha) - 1
-        eps_scalar = alpha[0]
-        eps = 1 if eps_scalar == field.one else \
-            -1 if eps_scalar == -field.one else 0
-        if eps == 0 or any(
-                alpha[i] != (alpha[d - i] if eps == 1 else -alpha[d - i])
-                for i in range(d + 1)):
+        neg = [-c % p if p else -c for c in alpha]
+        eps = 1 if alpha[0] == 1 else -1 if neg[0] == 1 else 0
+        if eps == 0 or alpha != (alpha if eps == 1 else neg)[::-1]:
             raise IdealArgumentError(
                 "pure-a pattern is not palindromic")  # pragma: no cover
 
-        ideal = PatternIdeal(field, alpha, eps,
-                             contains_j=_residue_sums_nonzero(field, alpha))
+        scalars = [Scalar(field, c) for c in alpha]
+        ideal = PatternIdeal(field, scalars, eps,
+                             contains_j=_residue_sums_nonzero(field, scalars))
         _closure(ideal, list(gens) + [el.apply(el.tau(1), g) for g in gens])
 
         # a closure stopped at pure-a members shrinks the gcd; the pool
         # restarts from the pattern, gcd(pool), palindromic up to sign
         new_pure = _pure_a_classes(ideal)
         if new_pure:
-            pool = [ideal.x_family(0)]
-            for e in new_pure:
-                pool += [e, _reverse_elem(e)]
+            pool = [tuple(alpha)] + [_pattern_of_pure_a(e) for e in new_pure]
             continue
 
         # J lies in the ideal when the extension absorbs p(1,3) and p(2,3)

@@ -9,13 +9,15 @@ Miyamoto orbit machinery, and a battery of hand-checked small quotients.
 
 from __future__ import annotations
 
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 from . import elements as el
 from . import linalg
 from .eigen import fusion_law
 from .fields import Field, Scalar
-from .ideals import IdealArgumentError, IdealData, ideal_of, membership
+from .ideals import (IdealArgumentError, IdealData, _check_field, ideal_of,
+                     membership)
 
 
 class QuotientError(ValueError):
@@ -30,7 +32,10 @@ class FiniteAlgebra:
     (i, j) with i <= j to the coordinates of the product, a sparse
     ``{position: value}`` dict without zero values.  An entry sums
     n * image(key) over the cached product (n/8 times each key) of its
-    basis keys, scaled by 1/8 once; keys outside the basis are reduced once.
+    basis keys, scaled by 1/8 once; over Q it sums integer numerators over
+    the images' common denominator and makes one ``Fraction`` per nonzero
+    coordinate.  Key images are memoised per instance: ``to_vector`` sums
+    the images of an element's keys, and each key is reduced at most once.
 
     Coordinate vectors, the ``structure`` entries and the matrices of
     ``adjoint`` and ``induced_map`` hold raw field values (ints in
@@ -68,32 +73,40 @@ class FiniteAlgebra:
         # reduction is linear: the image of an entry is the sum of images
         p, n, one = field.characteristic, self.dim, field.one.value
         inv8 = field.scalar(1, 8).value
-        images = {k: {t: one} for t, k in enumerate(self.basis_keys)}
+        self._images = {k: {t: one} for t, k in enumerate(self.basis_keys)}
+        den, ints = 1, {}  # integer key images over one denominator
         self.structure: dict[tuple[int, int], dict] = {}
         for i, ki in enumerate(self.basis_keys):
-            for j in range(i, n):
+            prods = [el._pair_product(ki, kj) for kj in self.basis_keys[i:]]
+            keys = dict.fromkeys(k for prod in prods for k, _ in prod)
+            for key in [k for k in keys if k not in ints]:
+                d, img = el._integral(self._key_image(key), p)
+                if den % d:  # a new denominator: rescale the images so far
+                    m, den = lcm(den, d) // den, lcm(den, d)
+                    ints = {k: [(t, v * m) for t, v in im]
+                            for k, im in ints.items()}
+                ints[key] = [(t, v * (den // d)) for t, v in img.items()]
+            for j, prod in enumerate(prods, i):
                 acc = {}
-                for key, c in el._pair_product(ki, self.basis_keys[j]):
-                    if key not in images:
-                        images[key] = self._image(
-                            el.Element._of(field, {key: one}))
-                    el._add_scaled(acc, c, images[key].items(), p)
+                for key, c in prod:
+                    for t, v in ints[key]:
+                        acc[t] = acc.get(t, 0) + c * v
                 self.structure[(i, j)] = {
-                    t: s * inv8 % p if p else s * inv8 for t, s in acc.items()}
+                    t: s * inv8 % p if p else Fraction(s, 8 * den)
+                    for t, s in acc.items() if (s % p if p else s)}
 
     @property
     def dim(self) -> int:
         return len(self.basis_keys)
 
-    def _image(self, x: el.Element) -> dict:
-        """``{position: value}`` of the image of ``x`` in the basis."""
-        vec = {}
-        for key, c in self.source_ideal.reduce(x).terms.items():
-            pos = self._key_pos.get(key)
-            if pos is None:  # pragma: no cover - reduce precludes this
-                raise QuotientError(f"key {key} outside the quotient basis")
-            vec[pos] = c
-        return vec
+    def _key_image(self, key) -> dict:
+        """``{position: value}`` of the image of a basis key, memoised."""
+        if key not in self._images:
+            x = el.Element._of(self.field, {key: self.field.one.value})
+            self._images[key] = {  # reduce leaves only basis keys
+                self._key_pos[k]: c
+                for k, c in self.source_ideal.reduce(x).terms.items()}
+        return self._images[key]
 
     def _dense(self, vec: dict) -> list:
         """The coordinate list of a ``{position: value}`` dict."""
@@ -103,8 +116,13 @@ class FiniteAlgebra:
         return out
 
     def to_vector(self, x: el.Element) -> list:
-        """Coordinates of the image of ``x`` in the quotient basis."""
-        return self._dense(self._image(x))
+        """Coordinates of the image of ``x``: the sum of its keys' images."""
+        _check_field(self.field, x)
+        vec = {}
+        for key, c in x.terms.items():
+            el._add_scaled(vec, c, self._key_image(key).items(),
+                           self.field.characteristic)
+        return self._dense(vec)
 
     def _check(self, *vecs) -> None:
         if any(len(v) != self.dim for v in vecs):

@@ -156,6 +156,15 @@ def test_verify_rejects_imax_below_one(capsys, imax):
                                "--imax", imax))
 
 
+@pytest.mark.parametrize("argv", [
+    ["--char", "7", "--gen", "p(1,3)"],
+    ["--char", "0", "--gen", "a(0)-a(3)", "--j-relative"]])
+def test_quotient_j_relative_mismatch_names_the_flag(capsys, argv):
+    code, out, err = run(capsys, "quotient", *argv)
+    _one_line_usage_error(code, out, err)
+    assert "--j-relative" in err and "j_relative" not in err
+
+
 def test_families_rejects_max_n_below_one(capsys):
     _one_line_usage_error(*run(capsys, "families", "--char", "0",
                                "--max-n", "0"))

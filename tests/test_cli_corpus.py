@@ -62,6 +62,7 @@ CASES = {
     "quotient_extension_char0": ["quotient", "--char", "0",
                                  "--gen", "a(0) - a(6) + p(1,3)"],
     "families_char0": ["families", "--char", "0", "--max-n", "6"],
+    "families_large_char7": ["families", "--char", "7", "--max-n", "30"],
     "verify_quotients_char0": ["verify", "quotients", "--char", "0"],
     "verify_quotients_char5": ["verify", "quotients", "--char", "5"],
     "verify_quotients_char7": ["verify", "quotients", "--char", "7"],

@@ -166,6 +166,31 @@ def test_laurent_gcd_carries_over_a_split(F):
         assert laurent_gcd(F, [list(head)] + pats[k:])[0] == want
 
 
+@pytest.mark.parametrize("F", [QQ, GF(5), GF(7), GF(11), GF(13)], ids=str)
+def test_untracked_gcd_matches_laurent_gcd(F):
+    # ideal_of runs the gcd without the Bezout combination, on raw values;
+    # it must give the tracked gcd, also when carried over a split
+    import highwater.ideals as ideals
+    p = F.characteristic
+    rng = random.Random(83 + p)
+
+    def untracked(pats):
+        raw = [tuple(c.value for c in pat) for pat in pats]
+        poly, comb = ideals._gcd(p, [(pat, None) for pat in raw])
+        assert comb is None
+        return tuple(F.from_fraction(c) for c in poly)
+
+    for _ in range(25):
+        common = _random_poly(F, rng, rng.randint(0, 3))
+        pats = [_poly_mul(F, common, _random_poly(F, rng, rng.randint(0, 3)))
+                for _ in range(rng.randint(1, 5))]
+        want = laurent_gcd(F, pats)[0]
+        assert untracked(pats) == want
+        k = rng.randint(0, len(pats) - 1)
+        head = untracked(pats[:k + 1])
+        assert untracked([list(head)] + pats[k + 1:]) == want
+
+
 # -- pattern ideals -----------------------------------------------------------------
 
 def test_minimal_ideal_basis_members(field):
@@ -372,14 +397,14 @@ def test_ideal_of_passes_each_pattern_once(monkeypatch):
     import highwater.ideals as ideals
     from test_ideal_fingerprint import sweep
     rounds = []
-    gcd = ideals.laurent_gcd
+    gcd = ideals._gcd
 
-    def spy(field, patterns):
-        patterns = [tuple(pat) for pat in patterns]
-        rounds.append(patterns)
-        return gcd(field, patterns)
+    def spy(p, items):
+        rounds.append([tuple(pat) for pat, _ in items])
+        return gcd(p, items)
 
-    monkeypatch.setattr(ideals, "laurent_gcd", spy)
+    # ideal_of runs the untracked gcd, not laurent_gcd
+    monkeypatch.setattr(ideals, "_gcd", spy)
     for _, gens in sweep():
         ideal_of(gens)
     assert rounds

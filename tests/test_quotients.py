@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -122,9 +123,55 @@ def test_table_reduces_few_keys(monkeypatch, F, n):
         monkeypatch.setattr(IdealData, "reduce", counting)
         calls.clear()
         q = FiniteAlgebra(ideal)
-        monkeypatch.undo()
         assert q.dim > 1
         assert len(calls) <= 2 * q.dim + 2
+        # the orbit that follows reduces only axes the build did not image
+        imaged = set(q._images)
+        calls.clear()
+        axis_orbit(q, cutoff=30)
+        monkeypatch.undo()
+        keys = [k for x in calls for k in x.terms]
+        assert len(keys) == len(calls) == len(set(keys))
+        assert all(k[0] == "a" and k not in imaged for k in keys)
+
+
+def _far_element(F, rng, p_only):
+    terms = []
+    for _ in range(rng.randint(2, 6)):
+        far = rng.randint(200, 1000)
+        kind = "p" if p_only else rng.choice("aasp")
+        if kind == "a":
+            key = ("a", rng.choice((-1, 1)) * far)
+        elif kind == "s":
+            key = ("s", far)
+        else:
+            key = ("p", rng.randint(1, 2), 3 * (far // 3))
+        terms.append((key, Fraction(rng.randint(-9, 9),
+                                    rng.choice([1, 2, 3]))))
+    return el.from_terms(F, terms)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(5), GF(7), GF(11), GF(13)], ids=str)
+def test_to_vector_through_key_memo_matches_reduce(F):
+    # to_vector sums memoised key images; reduction is linear, so it agrees
+    # with reducing the whole element, also for keys first seen after the
+    # table was built
+    rng = random.Random(97 + F.characteristic)
+    P = lambda r, k: el.pi(F, r, k)
+    sources = [(ideal_of([A(F, 0) - A(F, 6) + P(1, 3)]), False),
+               (ideal_of([A(F, 0).scale(F.scalar(2)) - A(F, -5) - A(F, 5)]),
+                False),
+               (ideal_of([P(1, 9) - P(2, 12), P(2, 18)]), True)]
+    for ideal, j_relative in sources:
+        q = FiniteAlgebra(ideal, j_relative=j_relative)
+        zero, fresh = F.zero.value, 0
+        for _ in range(6):
+            x = _far_element(F, rng, p_only=j_relative)
+            fresh += any(k not in q._images for k in x.terms)
+            want = [ideal.reduce(x).terms.get(k, zero) for k in q.basis_keys]
+            assert q.to_vector(x) == want
+            assert q.to_vector(x) == want  # now every key from the memo
+        assert fresh
 
 
 # -- the homomorphism property -------------------------------------------------------

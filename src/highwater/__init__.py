@@ -18,7 +18,7 @@ from .ideals import (IdealArgumentError, IdealData, JIdeal, PatternIdeal,
                      minimal_ideal_basis, pure_a_extract)
 from .quotients import (AxisOrbit, FiniteAlgebra, QuotientError, axis_orbit,
                         eigenspace_split, family_Hn, family_Ln,
-                        miyamoto_matrix, small_quotient_suite)
+                        small_quotient_suite)
 
 __all__ = [
     "Field", "GF", "QQ", "Scalar", "FieldMismatchError",
@@ -36,6 +36,5 @@ __all__ = [
     "j_ideal_of", "laurent_gcd", "membership", "minimal_ideal_basis",
     "pure_a_extract",
     "AxisOrbit", "FiniteAlgebra", "QuotientError", "axis_orbit",
-    "eigenspace_split", "family_Hn", "family_Ln", "miyamoto_matrix",
-    "small_quotient_suite",
+    "eigenspace_split", "family_Hn", "family_Ln", "small_quotient_suite",
 ]

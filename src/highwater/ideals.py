@@ -188,6 +188,24 @@ def j_ideal_of(generators) -> JIdeal:
 
 # -- folding pure-a elements ---------------------------------------------------
 
+def _fold(support, k: int, step: int, head: tuple, p: int) -> list:
+    """Terms ``(head + (level,), sum of c_j)`` of sum_j c_j at level
+    |k - j| over the ``(j, c_j)`` of ``support``, for levels that are
+    positive multiples of ``step``; zero sums are dropped.
+
+    Over the ``PatternIdeal`` support (j, L * alpha_j), step 1 gives the
+    s-family member y_k and step 3 the p-family member p_k; both have top
+    level D - k when k <= D/2.
+    """
+    out = {}
+    for j, c in support:
+        i = abs(k - j)
+        if i and not i % step:
+            c += out.get(i, 0)
+            out[i] = c % p if p else c
+    return [(head + (i,), c) for i, c in out.items() if c]
+
+
 def fold(x: el.Element, k: int) -> tuple[el.Element, el.Element]:
     """Fold a pure-a zero-weight element about position k.
 
@@ -202,17 +220,12 @@ def fold(x: el.Element, k: int) -> tuple[el.Element, el.Element]:
         raise IdealArgumentError("fold needs a nonzero pure-a element")
     if x.weight():
         raise IdealArgumentError("fold needs zero coefficient sum")
-    coeffs = {key[1]: c for key, c in x.terms.items()}
-    lo = min(coeffs)
-    hi = max(coeffs)
-    s_terms, p_terms = [], []
-    for i in range(1, max(abs(k - lo), abs(k - hi)) + 1):
-        # a rational; from_terms reduces it and drops it when zero
-        c = 3 * (coeffs.get(k - i, 0) + coeffs.get(k + i, 0))
-        s_terms.append((("s", i), c))
-        if i % 3 == 0:
-            p_terms.append((("p", k % 3, i), c))
-    return el.from_terms(x.field, s_terms), el.from_terms(x.field, p_terms)
+    support = [(key[1], c) for key, c in x.terms.items()]
+    p = x.field.characteristic
+    # from_terms reduces 3c into the field and rewrites residue-0 p keys
+    return tuple(el.from_terms(x.field, [(key, 3 * c) for key, c in
+                                         _fold(support, k, step, head, p)])
+                 for step, head in ((1, ("s",)), (3, ("p", k % 3))))
 
 
 def pure_a_extract(g: el.Element) -> el.Element:
@@ -380,22 +393,6 @@ class PatternIdeal:
 
     # -- the three spanning families ------------------------------------
 
-    def _fold(self, k: int, step: int, head: tuple) -> list:
-        """Terms ``(head + (level,), L * c)`` of sum_j alpha_j at level
-        |k - j|, for levels that are positive multiples of ``step``.
-
-        Step 1 gives the s-family member y_k, step 3 the p-family
-        member p_k.  Both have top level D - k when k <= D/2.
-        """
-        p = self.p
-        out = {}
-        for j, c in self._support:
-            i = abs(k - j)
-            if i and not i % step:
-                c += out.get(i, 0)
-                out[i] = c % p if p else c
-        return [(head + (i,), c) for i, c in out.items() if c]
-
     def _family(self, terms: list) -> el.Element:
         """The element of scaled integer ``terms``, divided by L."""
         return el.Element._of(self.field, dict(terms) if self.p else {
@@ -407,11 +404,12 @@ class PatternIdeal:
 
     def y_family(self, k: int) -> el.Element:
         """Folded s-element y_k = sum_j alpha_j s(|k - j|)."""
-        return self._family(self._fold(k, 1, ("s",)))
+        return self._family(_fold(self._support, k, 1, ("s",), self.p))
 
     def p_family(self, k: int, residue: int) -> el.Element:
         """Folded p-element sum_j alpha_j p(residue, |k - j|), 3 | k - j."""
-        return self._family(self._fold(k, 3, ("p", residue)))
+        return self._family(_fold(self._support, k, 3, ("p", residue),
+                                  self.p))
 
     # -- reduction -------------------------------------------------------
 
@@ -455,7 +453,7 @@ class PatternIdeal:
                            if k[0] == kind and k[-1] >= self._cutoff]:
                 n, key = max(tops)
                 cancel(rem[key], top2 if 2 * n == d else top,
-                       self._fold(d - n, step, key[:-1]))
+                       _fold(support, d - n, step, key[:-1], p))
         return rem if p else {k: Fraction(c, den) for k, c in rem.items()}
 
     def to_vector(self, rem: dict) -> dict:
@@ -569,22 +567,29 @@ def _pattern_of_pure_a(x: el.Element) -> tuple:
     return tuple(idx.get(i, zero) for i in range(min(idx), max(idx) + 1))
 
 
-def _closure(ideal: PatternIdeal, seeds: list[el.Element]) -> None:
-    """Row-reduce seed representatives into ``ideal.extension`` and close
-    the span under multiplication, stopping at its first pure-a member:
-    an insert whose tail (the coordinates after the a-window) does not
-    grow ``tails`` leaves one in the span.  A closure that finds none
-    runs to the end, so its span is closed.
+def _closure(ideal: PatternIdeal,
+             seeds: list[el.Element]) -> el.Element | None:
+    """Row-reduce seed representatives and close their span under
+    multiplication, stopping at its first pure-a member.
+
+    The span is kept in one ``Rref`` with the a-window columns rotated
+    to the end, so an insert pivots there exactly when the span gains a
+    pure-a member; that member is returned.  A closure that finds none
+    runs to the end, so its span is closed: its rows, unrotated, go into
+    ``ideal.extension`` (the RREF of a span is unique, so the pivots do
+    not depend on the detour), and the result is None.
     """
     p, d, keys = ideal.p, ideal.degree, ideal.survivor_keys
-    rr, tails = ideal.extension, Rref(p)
-    queue = []
+    n = len(keys)
+    rotated = keys[d:] + keys[:d]  # column j of rr is survivor (j + d) % n
+    col = {k: j for j, k in enumerate(rotated)}
+    rr, queue = Rref(p), []
     products = (ideal.reduce_core(dict(s.terms)) for s in seeds)
 
     def times_keys(w):
         # w * key for each survivor key from the key-pair cache, as integer
         # terms: scaling by 8 and by w's denominator leaves the span alone
-        w = [(keys[i], c) for i, c in el._integral(w, p)[1].items()]
+        w = [(rotated[j], c) for j, c in el._integral(w, p)[1].items()]
         for b in keys:
             acc = {}
             for k, c in w:
@@ -592,30 +597,21 @@ def _closure(ideal: PatternIdeal, seeds: list[el.Element]) -> None:
             yield acc
 
     while True:
-        for terms in products:
-            w = ideal.to_vector(terms)
+        for terms in products:  # reduce_core leaves only survivor keys
+            w = {col[k]: c for k, c in terms.items()}
             if rr.insert(w):
-                if not tails.insert({i: c for i, c in w.items() if i >= d}):
-                    return
+                piv = next(reversed(rr.rows))  # the new row's, added last
+                if piv >= n - d:
+                    return el.Element._of(ideal.field, {
+                        rotated[j]: c for j, c in rr.rows[piv].items()})
                 queue.append(w)
         if not queue:
-            return
+            break
         # fresh products: reduce_core may consume their terms
         products = map(ideal.reduce_core, times_keys(queue.pop()))
-
-
-def _pure_a_classes(ideal: PatternIdeal) -> list[el.Element]:
-    """A basis of the pure-a part of the extension span.
-
-    The a-window coordinates come first among the survivor keys; with
-    them moved last, the rows that pivot in them have a zero tail.
-    """
-    d, n = ideal.degree, len(ideal.survivor_keys)
-    rr = Rref(ideal.p)
-    for row in ideal.extension.rows.values():
-        rr.insert({(i - d) % n: c for i, c in row.items()})
-    return [ideal.from_vector({(i + d) % n: c for i, c in row.items()})
-            for piv, row in rr.rows.items() if piv >= n - d]
+    for row in rr.rows.values():
+        ideal.extension.insert({(j + d) % n: c for j, c in row.items()})
+    return None
 
 
 def ideal_of(generators) -> IdealData:
@@ -660,13 +656,13 @@ def ideal_of(generators) -> IdealData:
         scalars = [Scalar(field, c) for c in alpha]
         ideal = PatternIdeal(field, scalars, eps,
                              contains_j=_residue_sums_nonzero(field, scalars))
-        _closure(ideal, list(gens) + [el.apply(el.tau(1), g) for g in gens])
+        pure = _closure(ideal,
+                        list(gens) + [el.apply(el.tau(1), g) for g in gens])
 
-        # a closure stopped at pure-a members shrinks the gcd; the pool
+        # a closure stopped at a pure-a member shrinks the gcd; the pool
         # restarts from the pattern, gcd(pool), palindromic up to sign
-        new_pure = _pure_a_classes(ideal)
-        if new_pure:
-            pool = [tuple(alpha)] + [_pattern_of_pure_a(e) for e in new_pure]
+        if pure is not None:
+            pool = [tuple(alpha), _pattern_of_pure_a(pure)]
             continue
 
         # J lies in the ideal when the extension absorbs p(1,3) and p(2,3)

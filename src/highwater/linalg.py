@@ -3,8 +3,8 @@
 Values are raw field values, as in every container of coefficients:
 ints in ``range(p)`` over F_p, ``Fraction``s over Q (``p == 0``).
 ``Rref`` rows are sparse ``{column: value}`` dicts without zero values;
-the vectors and matrices of ``vec_scale``, ``mat_vec``, ``mat_mul`` and
-``kernel_basis`` are dense lists and list-of-lists.
+the vectors and matrices of ``vec_scale``, ``mat_vec`` and ``kernel_basis``
+are dense lists and list-of-lists.
 """
 
 from __future__ import annotations
@@ -27,18 +27,13 @@ def mat_vec(m: Mat, v: Vec, field: Field) -> Vec:
     return [a % p for a in out] if p else out
 
 
-def mat_mul(a: Mat, b: Mat, field: Field) -> Mat:
-    cols = list(zip(*b)) if b else []
-    return [mat_vec(cols, row, field) for row in a]
-
-
 class Rref:
     """A row-reduced spanning set of sparse rows with incremental insertion.
 
     ``rows`` maps each pivot column to its row, a ``{column: value}`` dict
-    of nonzero raw values.  The rows are in reduced row echelon form: the
-    pivot of a row is its lowest column and holds 1, and no other row
-    holds that column.
+    of nonzero raw values, in the order the rows were inserted.  The rows
+    are in reduced row echelon form: the pivot of a row is its lowest
+    column and holds 1, and no other row holds that column.
     """
 
     def __init__(self, p: int):

@@ -103,9 +103,13 @@ class FiniteAlgebra:
         """``{position: value}`` of the image of a basis key, memoised."""
         if key not in self._images:
             x = el.Element._of(self.field, {key: self.field.one.value})
-            self._images[key] = {  # reduce leaves only basis keys
-                self._key_pos[k]: c
-                for k, c in self.source_ideal.reduce(x).terms.items()}
+            terms = self.source_ideal.reduce(x).terms
+            try:  # a pattern reduction leaves only basis keys
+                self._images[key] = {self._key_pos[k]: c
+                                     for k, c in terms.items()}
+            except KeyError as e:  # in a J-relative quotient: a non-p key
+                raise QuotientError(
+                    f"key {e.args[0]} outside the quotient basis") from None
         return self._images[key]
 
     def _dense(self, vec: dict) -> list:
@@ -214,32 +218,13 @@ def _identity(field: Field, n: int):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def miyamoto_matrix(q: FiniteAlgebra, axis_vec) -> list[list] | None:
-    """The involution negating the half-eigenspace of an axis image.
-
-    It is I - 2E, where E, the projection onto the 1/2-eigenspace, is the
-    Lagrange product of (ad - mu*I)/(1/2 - mu) over the other values mu
-    of the fusion law.  None when ad has no total eigendecomposition,
-    that is when the product of (ad - mu*I) over all values is not zero.
-    """
-    field = q.field
-    p = field.characteristic
-    ad = q.adjoint(axis_vec)
-    half = field.scalar(1, 2)
-    proj = _identity(field, q.dim)
-    for mu in fusion_law(field).values:
-        if mu != half:
-            c = (half - mu).inverse().value
-            proj = [linalg.vec_scale(row, c, p) for row in
-                    linalg.mat_mul(proj, _shift(ad, mu), field)]
-    if any(map(any, linalg.mat_mul(proj, _shift(ad, half), field))):
-        return None
-    # -2E - (-1)I
-    return _shift([linalg.vec_scale(row, -2, p) for row in proj], -field.one)
-
-
 class AxisOrbit:
-    """Closure of the two generating axis images under Miyamoto maps."""
+    """The axis images of an orbit, whether it closed within the cutoff,
+    and its Miyamoto group order.
+
+    A closed orbit of n axes lists the images of a(0), ..., a(n - 1) in
+    that order; an open one lists those of a(0), ..., a(cutoff).
+    """
 
     def __init__(self, axes, closed: bool, miyamoto_group_order):
         self.axes = axes
@@ -260,31 +245,19 @@ def axis_orbit(q: FiniteAlgebra, cutoff: int) -> AxisOrbit:
     trivial when n <= 2 (tau0 = I exactly when tau1 = I), and otherwise
     dihedral of order 2n / gcd(n, 2), since tau0*tau1 translates by 2.
 
-    The orbit is found by a breadth-first search by layers from the
-    subscripts 0 and 1, expanding each new i to -i, then 2 - i.  It is
-    closed when it has at most ``cutoff`` axes; otherwise the search stops
-    at the first layer past the cutoff, the group order is "unbounded at
-    cutoff", and how many axes an open orbit lists is not fixed.
+    So n is the first i >= 1 whose image equals that of a(0), found by
+    scanning i = 1, ..., ``cutoff``; the orbit is the images of a(0), ...,
+    a(n - 1).  With no such i it is open: it lists the cutoff + 1 images
+    of a(0), ..., a(cutoff), and the group order is "unbounded at cutoff".
     """
-    images: dict[int, list] = {}
-    axes = []
-    seen = set()
-    layer = [0, 1]
-    while layer and len(axes) <= cutoff:
-        fresh = []
-        for i in layer:
-            if i not in images:
-                images[i] = q.to_vector(el.axis(q.field, i))
-            key = tuple(images[i])
-            if key not in seen:
-                seen.add(key)
-                fresh.append(i)
-        axes.extend(images[i] for i in fresh)
-        layer = [j for i in fresh for j in (-i, 2 - i)]
-    n = len(axes)
-    if n > cutoff:
-        return AxisOrbit(axes, False, "unbounded at cutoff")
-    return AxisOrbit(axes, True, 1 if n <= 2 else 2 * n // gcd(n, 2))
+    first = q.to_vector(el.axis(q.field, 0))
+    axes = [first]
+    for n in range(1, cutoff + 1):
+        image = q.to_vector(el.axis(q.field, n))
+        if image == first:
+            return AxisOrbit(axes, True, 1 if n <= 2 else 2 * n // gcd(n, 2))
+        axes.append(image)
+    return AxisOrbit(axes, False, "unbounded at cutoff")
 
 
 # -- the standard families -------------------------------------------------------

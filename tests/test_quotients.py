@@ -5,14 +5,15 @@ import pytest
 
 import highwater.elements as el
 import highwater.linalg as linalg
-import highwater.quotients as quotients
 from highwater import GF, QQ, FieldMismatchError
 from highwater.ideals import IdealData, ideal_of
 from highwater.quotients import (AxisOrbit, FiniteAlgebra, QuotientError,
                                  axis_orbit, eigenspace_split, family_Hn,
-                                 family_Ln, miyamoto_matrix, small_quotient_suite)
+                                 family_Ln, small_quotient_suite)
 
+import oracle
 from conftest import random_element
+from oracle import brute_force_group, mat_mul, miyamoto_matrix
 from test_ideal_fingerprint import ideals as sweep_ideals
 
 
@@ -31,6 +32,15 @@ def test_quotient_rejects_infinite_codimension(field):
     # the radical-relative quotient is fine
     q = FiniteAlgebra(in_j, j_relative=True)
     assert q.dim == in_j.j_ideal.codim_in_j
+
+
+def test_j_relative_quotient_rejects_keys_outside_j(field):
+    q = FiniteAlgebra(ideal_of([el.pi(field, 1, 12)]), j_relative=True)
+    memo = dict(q._images)
+    for call in (lambda: q.to_vector(A(field, 0)), lambda: axis_orbit(q, 5)):
+        with pytest.raises(QuotientError, match="outside the quotient basis"):
+            call()
+    assert q._images == memo  # no partial image was kept
 
 
 def test_full_ideal_gives_zero_algebra(field):
@@ -236,7 +246,6 @@ def test_miyamoto_matrix_is_involution(field):
     assert m is not None
     n = q.dim
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    from highwater.linalg import mat_mul
     assert mat_mul(m, m, field) == ident
 
 
@@ -310,41 +319,24 @@ def test_orbit_builds_no_matrix(monkeypatch, family, n, F, want):
     def boom(*args, **kwargs):
         raise AssertionError("matrix work on the orbit path")
 
-    monkeypatch.setattr(quotients, "miyamoto_matrix", boom)
+    monkeypatch.setattr(oracle, "miyamoto_matrix", boom)
+    monkeypatch.setattr(oracle, "mat_mul", boom)
     monkeypatch.setattr(FiniteAlgebra, "adjoint", boom)
-    monkeypatch.setattr(linalg, "mat_mul", boom)
+    monkeypatch.setattr(linalg, "kernel_basis", boom)
     monkeypatch.setattr(linalg, "mat_vec", boom)
     o = axis_orbit(q, 30)
     assert (o.closed, len(o.axes), o.miyamoto_group_order) == want
 
 
-def _brute_force_group(q, cap):
-    """The group generated by tau0 and tau1 as matrices, or None when it
-    has more than ``cap`` elements."""
-    F = q.field
-    taus = [miyamoto_matrix(q, q.to_vector(A(F, i))) for i in (0, 1)]
-    assert None not in taus
-    ident = [[int(i == j) for j in range(q.dim)] for i in range(q.dim)]
-    group = {tuple(map(tuple, ident))}
-    frontier = [ident]
-    while frontier:
-        g = frontier.pop()
-        for t in taus:
-            h = linalg.mat_mul(g, t, F)
-            key = tuple(map(tuple, h))
-            if key not in group:
-                if len(group) == cap:
-                    return None
-                group.add(key)
-                frontier.append(h)
-    return group
-
-
 def _brute_force_quotients(F):
+    # H_n collapses the p-span; Hhat_n and Lhat_n keep it.  Over Q the
+    # Lhat_n groups are infinite and the brute force climbs to its cap
+    # through ever larger fractions (2 s for Lhat_9), so Q stops at 5
+    top_l = 9 if F.characteristic else 5
     return ([family_Hn(n, F, collapse_j=True) for n in range(1, 7)]
-            + [family_Hn(n, F) for n in (3, 6)]
-            + [family_Ln(n, F, collapse_j=c) for n in (1, 2)
-               for c in (True, False)])
+            + [family_Hn(n, F) for n in range(1, 10)]
+            + [family_Ln(n, F, collapse_j=True) for n in (1, 2)]
+            + [family_Ln(n, F) for n in range(1, top_l + 1)])
 
 
 @pytest.mark.parametrize("F", [QQ, GF(5), GF(7), GF(11)],
@@ -352,7 +344,7 @@ def _brute_force_quotients(F):
 def test_orbit_matches_brute_force_group(F):
     for q in _brute_force_quotients(F):
         o = axis_orbit(q, 30)
-        group = _brute_force_group(q, 200)
+        group = brute_force_group(q, 200)
         if group is None:
             assert not o.closed
             assert o.miyamoto_group_order == "unbounded at cutoff"
@@ -364,6 +356,27 @@ def test_orbit_matches_brute_force_group(F):
             assert len(o.axes) == len(orbit)
             assert {tuple(v) for v in o.axes} == orbit
             assert o.miyamoto_group_order == len(group)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(5), GF(7), GF(11)],
+                         ids=["char0", "char5", "char7", "char11"])
+def test_orbit_lists_axes_in_subscript_order(F):
+    # a closed orbit of n axes is the images of a(0), ..., a(n - 1), an
+    # open one those of a(0), ..., a(cutoff); either way pairwise distinct
+    seen = set()
+    for q in _brute_force_quotients(F):
+        for cutoff in (0, 2, 5, 30):
+            o = axis_orbit(q, cutoff)
+            n = len(o.axes)
+            assert o.axes == [q.to_vector(A(F, i)) for i in range(n)]
+            assert len({tuple(v) for v in o.axes}) == n
+            if o.closed:
+                assert n <= cutoff
+                assert q.to_vector(A(F, n)) == o.axes[0]
+            else:
+                assert n == cutoff + 1
+            seen.add(o.closed)
+    assert seen == {True, False}
 
 
 def test_miyamoto_matrix_negates_exactly_the_half_space(field):

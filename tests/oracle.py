@@ -6,31 +6,15 @@ Miyamoto involution of an axis image from its adjoint, and the group
 that the involutions of a(0) and a(1) generate.
 """
 
-from fractions import Fraction
-from math import lcm
-from operator import mul
-
 import highwater.elements as el
 from highwater import linalg
 from highwater.eigen import fusion_law
 from highwater.quotients import _identity, _shift
 
 
-def _integral(m):
-    """``(den, rows of den * m)`` with integer entries, for m over Q."""
-    den = lcm(*(x.denominator for row in m for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row]
-                 for row in m]
-
-
 def mat_mul(a, b, field):
-    p, cols = field.characteristic, list(zip(*b))
-    if p:
-        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
-    # over Q, one Fraction per entry: integer rows over one denominator
-    (da, a), (db, cols) = _integral(a), _integral(cols)
-    return [[Fraction(sum(map(mul, row, col)), da * db) for col in cols]
-            for row in a]
+    cols = list(zip(*b)) if b else []
+    return [linalg.mat_vec(cols, row, field) for row in a]
 
 
 def miyamoto_matrix(q, axis_vec):

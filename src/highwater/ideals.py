@@ -3,8 +3,9 @@
 Every proper nonzero ideal I falls into one of two families:
 
 * I is contained in J, the span of the p-symbols.  Such ideals are in
-  bijection with monic coefficient tuples (b_3, ..., b_3k): the ideal
-  generated by sum b_3j * p(1,3j).
+  bijection with monic coefficient tuples (b_1, ..., b_k): the ideal
+  generated by sum b_j * p(1,3j), or by the polynomial beta(u) with
+  b_i = beta[k + i] (see the section on ideals inside J).
 
 * Otherwise I contains pure-a elements.  Identifying sum c_i a(i) with
   the polynomial sum c_i t^i, the pure-a elements of I form a
@@ -17,10 +18,11 @@ Every proper nonzero ideal I falls into one of two families:
   extension subspace living in the survivor coordinates of the
   quotient.
 
-Reduction against an ideal produces a canonical representative of the
-coset with a-support inside [0, D-1], s- and p-support below the
-survivor cutoff, and extension coordinates eliminated; membership is
-reduction to zero.
+Both families find their generator by the same Euclid (``_gcd``) and
+reduce by the same fold sweep (``PatternIdeal.reduce_core``).  Reduction
+against an ideal produces a canonical representative of the coset with
+a-support inside [0, D-1], s- and p-support below the survivor cutoff,
+and extension coordinates eliminated; membership is reduction to zero.
 """
 
 from __future__ import annotations
@@ -41,149 +43,6 @@ def _check_field(field: Field, x: el.Element) -> None:
     if x.field is not field:
         raise FieldMismatchError(f"cannot reduce an element over {x.field} "
                                  f"by an ideal over {field}")
-
-
-# -- ideals inside J -----------------------------------------------------------
-
-_TAU0 = el.tau(0)
-_TAU1 = el.tau(2)    # reflection about 1
-_TAU32 = el.tau(3)   # reflection about 3/2
-
-
-class JIdeal:
-    """An ideal contained in J, named by its monic coefficient tuple.
-
-    ``coeffs[j-1]`` is the coefficient of p(1, 3j) in the canonical
-    generator; the top coefficient is 1.
-    """
-
-    def __init__(self, field: Field, coeffs):
-        coeffs = tuple(coeffs)
-        if not coeffs or not coeffs[-1]:
-            raise IdealArgumentError("tuple must have a nonzero top entry")
-        if coeffs[-1] != field.one:
-            inv = coeffs[-1].inverse()
-            coeffs = tuple(c * inv for c in coeffs)
-        self.field = field
-        self.coeffs = coeffs
-        self._basis_cache: dict[tuple[int, int], el.Element] = {}
-
-    @property
-    def level(self) -> int:
-        return 3 * len(self.coeffs)
-
-    @property
-    def codim_in_j(self) -> int:
-        return 2 * (len(self.coeffs) - 1)
-
-    def generator(self) -> el.Element:
-        return el.Element(self.field, {("p", 1, 3 * j): c
-                                       for j, c in enumerate(self.coeffs, 1)})
-
-    def __eq__(self, other):
-        return (isinstance(other, JIdeal) and other.field is self.field
-                and other.coeffs == self.coeffs)
-
-    def __repr__(self):
-        return f"JIdeal{self.coeffs}"
-
-    def _basis_element(self, level: int, residue: int) -> el.Element:
-        """Basis member with p-tail at (residue, level), level >= self.level."""
-        key = (level, residue)
-        cached = self._basis_cache.get(key)
-        if cached is not None:
-            return cached
-        x = self.generator()
-        if level > self.level:
-            x = el.sigma(self.field, level - self.level) * x
-        if residue == 2:
-            x = el.apply(_TAU0, x)
-        self._basis_cache[key] = x
-        return x
-
-    def basis(self, up_to: int) -> list[el.Element]:
-        """Basis members with tails at levels self.level..up_to."""
-        out = []
-        for level in range(self.level, up_to + 1, 3):
-            out.append(self._basis_element(level, 1))
-            out.append(self._basis_element(level, 2))
-        return out
-
-    def reduce(self, x: el.Element) -> el.Element:
-        """Canonical representative of x: p-support pushed below the level."""
-        _check_field(self.field, x)
-        rem = x
-        while True:
-            p_idx = [k[2] for k in rem.terms if k[0] == "p"]
-            if not p_idx or max(p_idx) < self.level:
-                return rem
-            lev = max(p_idx)
-            for r in (1, 2):
-                c = rem.coeff(("p", r, lev))
-                if c:
-                    b = self._basis_element(lev, r)
-                    rem = rem - b.scale(c / b.coeff(("p", r, lev)))
-
-    def contains(self, x: el.Element) -> bool:
-        return self.reduce(x).is_zero()
-
-
-def _p_tail(x: el.Element):
-    """(level, coeff at residue 1, coeff at residue 2) of the p-part."""
-    p_idx = [k[2] for k in x.terms if k[0] == "p"]
-    if not p_idx:
-        return None
-    lev = max(p_idx)
-    return lev, x.coeff(("p", 1, lev)), x.coeff(("p", 2, lev))
-
-
-def _symmetrize_in_j(x: el.Element) -> el.Element:
-    """Monic pure-residue-1 element generating a subideal of (x)."""
-    while True:
-        lev, b1, b2 = _p_tail(x)
-        if b2:
-            if not b1:
-                x = el.apply(_TAU0, x)
-            else:
-                y = (x + el.apply(_TAU1, x)).scale(b2.inverse())
-                x = y + el.apply(_TAU32, y) * 2
-            continue
-        folded = x + el.apply(_TAU1, x)
-        if folded.is_zero():
-            return x.scale(b1.inverse())
-        x = folded
-
-
-def j_canonicalize(g: el.Element) -> JIdeal:
-    """The coefficient tuple naming the ideal generated by g inside J."""
-    if g.is_zero() or not g.in_p_span():
-        raise IdealArgumentError("j_canonicalize needs a nonzero element of J")
-    field = g.field
-    x = _symmetrize_in_j(g)
-    while True:
-        lev = _p_tail(x)[0]
-        ideal = JIdeal(field, [x.coeff(("p", 1, 3 * j))
-                               for j in range(1, lev // 3 + 1)])
-        rem = ideal.reduce(g)
-        if rem.is_zero():
-            return ideal
-        x = _symmetrize_in_j(rem)
-
-
-def j_ideal_of(generators) -> JIdeal:
-    """The ideal of J generated by finitely many elements of J."""
-    items = [g for g in generators if not g.is_zero()]
-    if not items:
-        raise IdealArgumentError("no nonzero generators")
-    if any(not g.in_p_span() for g in items):
-        raise IdealArgumentError("generators must lie in J")
-    ideal = j_canonicalize(items[0])
-    while True:
-        rem = next((r for r in (ideal.reduce(g) for g in items) if r), None)
-        if rem is None:
-            return ideal
-        items.append(ideal.generator())
-        ideal = j_canonicalize(rem)
 
 
 # -- folding pure-a elements ---------------------------------------------------
@@ -324,12 +183,15 @@ def laurent_gcd(field: Field, patterns):
 class PatternIdeal:
     """The data of an ideal not contained in J.
 
-    ``alpha`` is the monic pattern (alpha[0] != 0, alpha[-1] == 1) of
-    degree D; ``epsilon`` the palindrome sign.  ``extension`` is an
-    ``Rref`` of canonical-representative vectors over ``survivor_keys``
-    spanning the part of the ideal beyond the minimal one; it starts
-    empty and ``ideal_of`` fills it.  Its pivots are the positions of the
-    survivor keys that the extension eliminates.
+    ``alpha`` is the monic pattern of degree D, palindromic up to the
+    sign ``epsilon``, which is alpha[0].  ``contains_j`` starts as
+    whether a residue sum of alpha is nonzero; ``ideal_of`` sets it when
+    the extension absorbs J.  ``extension`` is an ``Rref`` of
+    canonical-representative vectors over ``survivor_keys`` spanning the
+    part of the ideal beyond the minimal one; it starts empty and
+    ``ideal_of`` fills it.  Its pivots are the positions of the survivor
+    keys that the extension eliminates.  A ``JIdeal`` reduces its p-part
+    with the ``reduce_core`` of the pattern ideal of its polynomial.
 
     Like every container of coefficients, the reduction path holds raw
     field values (ints in ``range(p)``, or ``Fraction``s over Q), and it
@@ -343,28 +205,33 @@ class PatternIdeal:
     per term out.
     """
 
-    def __init__(self, field: Field, alpha, epsilon: int, contains_j: bool):
+    def __init__(self, field: Field, alpha):
         alpha = tuple(alpha)
-        if len(alpha) < 2 or not alpha[0] or alpha[-1] != field.one:
-            raise IdealArgumentError("pattern must be monic of degree >= 1")
+        # Element checks that alpha holds Scalars of the field
+        x0 = el.Element(field, {("a", j): c for j, c in enumerate(alpha)})
+        a = [c.value for c in alpha]
+        neg = [field._value(-c) for c in a]
+        if len(a) < 2 or a[-1] != 1 or a != (a if a[0] == 1 else neg)[::-1]:
+            raise IdealArgumentError("pattern must be monic of degree >= 1 "
+                                     "and palindromic up to sign")
         self.field = field
         self.p = field.characteristic
         self.alpha = alpha
-        self.epsilon = epsilon
-        self.contains_j = contains_j
+        self.epsilon = 1 if a[0] == 1 else -1
+        self.contains_j = any(field._value(sum(a[r::3])) for r in (1, 2))
         self.survivor_keys = self._survivors()
         self._key_pos = {k: i for i, k in enumerate(self.survivor_keys)}
         self.extension = Rref(self.p)
         # (j, L * alpha_j) for the nonzero alpha_j, which Element unwraps,
         # and the family tops L, L * alpha_0 and 2L, inverted over F_p
-        x0 = el.Element(field, {("a", j): c for j, c in enumerate(alpha)})
         self._scale = L = lcm(*(c.denominator for c in x0.terms.values()))
         self._support = sorted((k[1], int(c * L)) for k, c in x0.terms.items())
         tops = (L, self._support[0][1], 2 * L)
         self._tops = [pow(t, -1, self.p) for t in tops] if self.p else tops
         # the lowest s- and p-level that the families reduce
         d = self.degree
-        self._cutoff = d // 2 if d % 2 == 0 and epsilon == 1 else d // 2 + 1
+        self._cutoff = (d // 2 if d % 2 == 0 and self.epsilon == 1
+                        else d // 2 + 1)
 
     @property
     def degree(self) -> int:
@@ -473,6 +340,115 @@ class PatternIdeal:
         return self.from_vector(self.extension.residue(vec))
 
 
+# -- ideals inside J -----------------------------------------------------------
+#
+# Sending p(r, 3i) to u^i + u^-i - 2 identifies, for each residue r, the
+# span of the p(r, .) with the palindromic Laurent polynomials in u that
+# vanish at u = 1.  s(3j) acts as multiplication by -3/8 (u^j + u^-j - 2);
+# the a(i), and the s(j) with 3 not dividing j, act by scalars and by
+# mixing the residues, which spans all endomorphisms of the pair.  So an
+# ideal inside J is both residue copies of one principal ideal, generated
+# by the gcd beta(u), palindromic of degree 2k, of the images of the
+# generators' residue-1 and residue-2 coefficients.  Its members are the
+# p-folds of the pattern beta(t^3), since s(3j) g = 3/4 g - 3/8 fold, so
+# ``JIdeal.reduce`` is that pattern's sweep, with fold top 2 at level 3k.
+
+class JIdeal:
+    """An ideal contained in J, named by its monic coefficient tuple.
+
+    ``coeffs[j-1]`` is the coefficient of p(1, 3j) in the canonical
+    generator g; the top coefficient is 1.  The ideal's polynomial is
+    beta = (b_k, ..., b_1, -2 sum b, b_1, ..., b_k) for k = len(coeffs).
+    """
+
+    def __init__(self, field: Field, coeffs):
+        coeffs = tuple(coeffs)
+        if not coeffs or not coeffs[-1]:
+            raise IdealArgumentError("tuple must have a nonzero top entry")
+        if coeffs[-1] != field.one:
+            inv = coeffs[-1].inverse()
+            coeffs = tuple(c * inv for c in coeffs)
+        self.field = field
+        self.coeffs = coeffs
+        mid = sum(coeffs, field.zero) * field.scalar(-2)
+        alpha = [field.zero] * (6 * len(coeffs) + 1)
+        alpha[::3] = coeffs[::-1] + (mid,) + coeffs
+        self._folds = PatternIdeal(field, alpha)
+
+    @property
+    def level(self) -> int:
+        return 3 * len(self.coeffs)
+
+    @property
+    def codim_in_j(self) -> int:
+        return 2 * (len(self.coeffs) - 1)
+
+    def generator(self) -> el.Element:
+        return el.Element(self.field, {("p", 1, 3 * j): c
+                                       for j, c in enumerate(self.coeffs, 1)})
+
+    def __eq__(self, other):
+        return (isinstance(other, JIdeal) and other.field is self.field
+                and other.coeffs == self.coeffs)
+
+    def __repr__(self):
+        return f"JIdeal{self.coeffs}"
+
+    def basis(self, up_to: int) -> list[el.Element]:
+        """Members with p-tails at levels self.level..up_to, by
+        multiplication: s(level - self.level) g and its tau(0) image."""
+        g, out = self.generator(), []
+        for n in range(0, up_to - self.level + 1, 3):
+            x = el.sigma(self.field, n) * g if n else g
+            out += [x, el.apply(el.tau(0), x)]
+        return out
+
+    def reduce(self, x: el.Element) -> el.Element:
+        """Canonical representative of x: p-support pushed below the level."""
+        _check_field(self.field, x)
+        terms = {k: c for k, c in x.terms.items() if k[0] != "p"}
+        terms.update(self._folds.reduce_core(
+            {k: c for k, c in x.terms.items() if k[0] == "p"}))
+        return el.Element._of(self.field, terms)
+
+    def contains(self, x: el.Element) -> bool:
+        return self.reduce(x).is_zero()
+
+
+def j_canonicalize(g: el.Element) -> JIdeal:
+    """The coefficient tuple naming the ideal generated by g inside J."""
+    if g.is_zero() or not g.in_p_span():
+        raise IdealArgumentError("j_canonicalize needs a nonzero element of J")
+    return j_ideal_of([g])
+
+
+def j_ideal_of(generators) -> JIdeal:
+    """The ideal of J generated by finitely many elements of J."""
+    items = [g for g in generators if not g.is_zero()]
+    if not items:
+        raise IdealArgumentError("no nonzero generators")
+    if any(not g.in_p_span() for g in items):
+        raise IdealArgumentError("generators must lie in J")
+    field = items[0].field
+    p = field.characteristic
+    polys = []
+    for g in items:
+        items[0]._check(g)
+        for r in (1, 2):
+            # u^m sum_i c_i (u^i + u^-i - 2) for the c_i of p(r, 3i)
+            c = {k[2] // 3: v for k, v in g.terms.items() if k[1] == r}
+            if c:
+                m = max(c)
+                poly = [0] * (2 * m + 1)
+                for i, v in c.items():
+                    poly[m - i] = poly[m + i] = v
+                poly[m] = field._value(-2 * sum(c.values()))
+                polys.append((poly, None))
+    beta, _ = _gcd(p, polys)
+    k = len(beta) // 2
+    return JIdeal(field, [Scalar(field, c) for c in beta[k + 1:]])
+
+
 # -- the classification record --------------------------------------------------
 
 class IdealData:
@@ -521,7 +497,7 @@ class IdealData:
         return out
 
 
-def minimal_ideal_basis(field: Field, pattern, epsilon: int,
+def minimal_ideal_basis(field: Field, pattern,
                         up_to: int) -> list[el.Element]:
     """Spanning elements of the minimal ideal with the given pattern.
 
@@ -532,11 +508,10 @@ def minimal_ideal_basis(field: Field, pattern, epsilon: int,
     """
     alpha = [c if isinstance(c, Scalar) else field.from_fraction(c)
              for c in pattern]
-    ideal = PatternIdeal(field, alpha, epsilon,
-                         contains_j=_residue_sums_nonzero(field, alpha))
+    ideal = PatternIdeal(field, alpha)
     d = ideal.degree
     out = [ideal.x_family(k) for k in range(-up_to, up_to + 1)]
-    top_k = d // 2 if not (d % 2 == 0 and epsilon == -1) else d // 2 - 1
+    top_k = d // 2 if not (d % 2 == 0 and ideal.epsilon == -1) else d // 2 - 1
     for k in range(d - up_to, top_k + 1):
         y = ideal.y_family(k)
         if y:
@@ -552,10 +527,6 @@ def minimal_ideal_basis(field: Field, pattern, epsilon: int,
                 if p:
                     out.append(p)
     return [x for x in out if x]
-
-
-def _residue_sums_nonzero(field: Field, alpha) -> bool:
-    return any(sum(alpha[r::3], field.zero) for r in (1, 2))
 
 
 # -- the general classification engine -------------------------------------------
@@ -628,14 +599,13 @@ def ideal_of(generators) -> IdealData:
     if all(g.in_p_span() for g in gens):
         return IdealData(field, "in_j", j_ideal=j_ideal_of(gens))
 
-    # harvest pure-a members: generators, products with the first two
-    # axes and reflected images; their patterns and, for palindromic
-    # symmetry, the reversed ones (the patterns of the reflections by tau0)
+    # harvest pure-a members: generators and their products with the
+    # first two axes; their patterns and, for palindromic symmetry, the
+    # reversed ones, which are up to sign the patterns of the reflections
     pool = []
     a0, a1 = el.axis(field, 0), el.axis(field, 1)
     for g in gens:
-        for h in (g, g * a0, g * a1, el.apply(el.tau(0), g),
-                  el.apply(el.tau(1), g)):
+        for h in (g, g * a0, g * a1):
             if not (h.is_zero() or h.in_p_span()):
                 pool.append(_pattern_of_pure_a(pure_a_extract(h)))
 
@@ -647,15 +617,7 @@ def ideal_of(generators) -> IdealData:
         if sum(alpha) % p if p else sum(alpha):
             return IdealData(field, "full")
 
-        neg = [-c % p if p else -c for c in alpha]
-        eps = 1 if alpha[0] == 1 else -1 if neg[0] == 1 else 0
-        if eps == 0 or alpha != (alpha if eps == 1 else neg)[::-1]:
-            raise IdealArgumentError(
-                "pure-a pattern is not palindromic")  # pragma: no cover
-
-        scalars = [Scalar(field, c) for c in alpha]
-        ideal = PatternIdeal(field, scalars, eps,
-                             contains_j=_residue_sums_nonzero(field, scalars))
+        ideal = PatternIdeal(field, [Scalar(field, c) for c in alpha])
         pure = _closure(ideal,
                         list(gens) + [el.apply(el.tau(1), g) for g in gens])
 
@@ -684,8 +646,7 @@ def aut_invariance_check(ideal: IdealData, sample_bound: int) -> dict:
         sample = ideal.j_ideal.basis(ideal.j_ideal.level + sample_bound)
     elif ideal.kind == "pattern":
         pat = ideal.pattern
-        sample = minimal_ideal_basis(field, pat.alpha, pat.epsilon,
-                                     sample_bound)
+        sample = minimal_ideal_basis(field, pat.alpha, sample_bound)
         sample += [pat.from_vector(row) for row in pat.extension_rows]
     auts = [el.tau(0), el.tau(1), el.theta(1), el.theta(-3)]
     failures = []

@@ -1,9 +1,15 @@
-"""Brute-force references for the Miyamoto path, kept out of the engine.
+"""Brute-force references, kept out of the engine.
 
 ``axis_orbit`` reads the orbit and the group order off the axis images
 and builds no matrix.  The tests check it against the matrices here: the
 Miyamoto involution of an axis image from its adjoint, and the group
 that the involutions of a(0) and a(1) generate.
+
+``j_ideal_of`` reads the tuple of an ideal inside J off one polynomial
+gcd.  The tests check it against ``j_tuple_by_refinement``, which works
+on elements alone: it symmetrises a generator by reflections into a
+pure-residue-1 member, and refines by the remainders of the generators
+against the multiples s(j) * g and their tau(0) images.
 """
 
 import highwater.elements as el
@@ -61,3 +67,63 @@ def brute_force_group(q, cap):
                 group.add(key)
                 frontier.append(h)
     return group
+
+
+_TAU0 = el.tau(0)
+_TAU1 = el.tau(2)    # reflection about 1
+_TAU32 = el.tau(3)   # reflection about 3/2
+
+
+def _p_tail(x):
+    """(level, coeff at residue 1, coeff at residue 2) of the p-part."""
+    lev = max(k[2] for k in x.terms)
+    return lev, x.coeff(("p", 1, lev)), x.coeff(("p", 2, lev))
+
+
+def _symmetrize(x):
+    """A monic pure-residue-1 element generating a subideal of (x)."""
+    while True:
+        lev, b1, b2 = _p_tail(x)
+        if b2:
+            if not b1:
+                x = el.apply(_TAU0, x)
+            else:
+                y = (x + el.apply(_TAU1, x)).scale(b2.inverse())
+                x = y + el.apply(_TAU32, y) * 2
+            continue
+        folded = x + el.apply(_TAU1, x)
+        if folded.is_zero():
+            return x.scale(b1.inverse())
+        x = folded
+
+
+def _reduce(g, x):
+    """x with its p-support pushed below the level of the monic g by the
+    multiples s(level - top) * g and their tau(0) images."""
+    top = _p_tail(g)[0]
+    while True:
+        lev = max((k[2] for k in x.terms if k[0] == "p"), default=0)
+        if lev < top:
+            return x
+        for r in (1, 2):
+            c = x.coeff(("p", r, lev))
+            if c:
+                b = el.sigma(x.field, lev - top) * g if lev > top else g
+                if r == 2:
+                    b = el.apply(_TAU0, b)
+                x = x - b.scale(c / b.coeff(("p", r, lev)))
+
+
+def j_tuple_by_refinement(generators):
+    """The monic tuple of the ideal inside J generated by nonzero elements
+    of J: symmetrise one element, then refine by remainders until every
+    generator, and every generator replaced on the way, reduces to 0."""
+    items = list(generators)
+    g = _symmetrize(items[0])
+    while True:
+        rem = next((r for r in (_reduce(g, x) for x in items) if r), None)
+        if rem is None:
+            return tuple(g.coeff(("p", 1, lev))
+                         for lev in range(3, _p_tail(g)[0] + 1, 3))
+        items.append(g)
+        g = _symmetrize(rem)

@@ -118,8 +118,7 @@ def test_criterion_07_ideal_engine_soundness(capsys):
         ok = ok and ideal.contains(g)
         if ideal.kind == "pattern":
             pat = ideal.pattern
-            for b in minimal_ideal_basis(ideal.field, pat.alpha,
-                                         pat.epsilon, up_to=12):
+            for b in minimal_ideal_basis(ideal.field, pat.alpha, up_to=12):
                 ok = ok and ideal.contains(b)
             for row in pat.extension_rows:
                 ok = ok and ideal.contains(pat.from_vector(row))

@@ -165,6 +165,13 @@ def test_quotient_j_relative_mismatch_names_the_flag(capsys, argv):
     assert "--j-relative" in err and "j_relative" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["quotient", "--char", "0", "--gen", "0"],
+    ["ideal", "classify", "--char", "0", "--gen", ";"]])
+def test_empty_or_zero_generators_rejected(capsys, argv):
+    _one_line_usage_error(*run(capsys, *argv))
+
+
 def test_families_rejects_max_n_below_one(capsys):
     _one_line_usage_error(*run(capsys, "families", "--char", "0",
                                "--max-n", "0"))

@@ -23,6 +23,16 @@ CORPUS = pathlib.Path(__file__).parent / "data" / "cli_corpus"
 SCHEMA = json.loads(
     files("highwater.schemas").joinpath("cli_output.json").read_text())
 
+_J_MIXED_CHAR0 = (
+    "27/8*p(1,3) - 3/8*p(2,3) - 15/8*p(1,6) - 3/4*p(2,6) + 9/8*p(1,9)"
+    " - 3/8*p(1,12) - 3/8*p(2,12) + 3/8*p(2,15); -15/8*p(1,3) - 2*p(2,3)"
+    " + 3/2*p(1,6) + p(2,6) - 9/4*p(1,9) - p(2,9) + 3/4*p(1,12)"
+    " - 3/8*p(1,15) + 3/8*p(1,18)")
+_J_MIXED_CHAR7 = (
+    "6*p(1,3) + 4*p(2,3) + 6*p(1,6) + p(2,6) + 2*p(1,9) + 4*p(1,12)"
+    " + 4*p(2,12) + 3*p(2,15); 6*p(1,3) + 5*p(2,3) + 5*p(1,6) + p(2,6)"
+    " + 3*p(1,9) + 6*p(2,9) + 6*p(1,12) + 4*p(1,15) + 3*p(1,18)")
+
 CASES = {
     "mul_char7": ["mul", "--char", "7", "2*a(-1) + s(2)", "a(3) - p(1,3)"],
     "mul_far_char7": ["mul", "--char", "7", "a(100001) + 1/2*s(2)",
@@ -83,6 +93,15 @@ CASES = {
     "ideal_member_nonintegral_char0": [
         "ideal", "member", "--char", "0", "--gen", "3*s(3) - 7/3*s(4)",
         "--elt", "a(60) - s(41)"],
+    # s(3)*g + tau0(s(6)*g); tau0(g) - s(9)*g for g = 2p(1,3) - p(1,6) + p(1,9)
+    "ideal_classify_j_mixed_char0": [
+        "ideal", "classify", "--char", "0", "--gen", _J_MIXED_CHAR0],
+    "ideal_classify_j_mixed_char7": [
+        "ideal", "classify", "--char", "7", "--gen", _J_MIXED_CHAR7],
+    "quotient_j_mixed_char0": ["quotient", "--char", "0",
+                               "--gen", _J_MIXED_CHAR0, "--j-relative"],
+    "quotient_j_mixed_char7": ["quotient", "--char", "7",
+                               "--gen", _J_MIXED_CHAR7, "--j-relative"],
 }
 
 

@@ -9,10 +9,11 @@ from highwater.ideals import (IdealArgumentError, JIdeal, PatternIdeal,
                               aut_invariance_check, fold, ideal_of,
                               j_canonicalize, j_ideal_of, laurent_gcd,
                               membership, minimal_ideal_basis,
-                              pure_a_extract, _residue_sums_nonzero)
+                              pure_a_extract)
 from highwater.linalg import Rref
 
 from conftest import random_element, random_scalar
+from oracle import j_tuple_by_refinement
 
 
 def A(F, i):
@@ -72,6 +73,68 @@ def test_j_ideal_of_multiple_generators(field):
 def test_mixed_residue_generator_collapses():
     ideal = j_canonicalize(P(QQ, 1, 3) + P(QQ, 2, 6))
     assert ideal.coeffs == (QQ.one,)
+
+
+def test_j_ideal_members_are_pattern_folds(field):
+    # with beta(u) = u^k sum_i b_i (u^i + u^-i - 2), s(3j) times the
+    # residue-r copy of the generator is 3/4 of it minus 3/8 of the p-fold
+    # of beta(t^3) about 3(k - j)
+    rng = random.Random(61)
+    for k in range(1, 5):
+        ideal = JIdeal(field, _random_monic_tuple(field, k, rng))
+        b = ideal.coeffs
+        alpha = [field.zero] * (6 * k + 1)
+        alpha[::3] = b[::-1] + (sum(b, field.zero) * field.scalar(-2),) + b
+        pat = PatternIdeal(field, alpha)
+        assert pat.epsilon == 1 and not pat.contains_j
+        for r in (1, 2):
+            g = el.Element(field, {("p", r, 3 * i): c
+                                   for i, c in enumerate(b, 1)})
+            for j in range(1, 2 * k + 2):
+                assert S(field, 3 * j) * g == \
+                    g.scale(field.scalar(3, 4)) \
+                    - pat.p_family(3 * (k - j), r).scale(field.scalar(3, 8))
+
+
+def _random_j_generator(F, rng, g):
+    """A random element of J: free p-terms, or a sum of multiples of g by
+    basis keys and of its images by reflections and translations."""
+    if g is None:
+        return el.from_terms(F, [
+            (("p", rng.randint(1, 2), 3 * rng.randint(1, 5)),
+             Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3])))
+            for _ in range(rng.randint(1, 4))])
+    out = el.zero(F)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice("aspt")
+        if kind == "a":
+            h = A(F, rng.randint(-4, 4)) * g
+        elif kind == "s":
+            h = S(F, rng.randint(1, 9)) * g
+        elif kind == "p":
+            h = P(F, rng.randint(1, 2), 3 * rng.randint(1, 3)) * g
+        else:
+            aut = rng.choice((el.tau(rng.randint(-3, 3)),
+                              el.theta(rng.randint(-3, 3))))
+            h = el.apply(aut, g)
+        out = out + h.scale(random_scalar(F, rng))
+    return out
+
+
+@pytest.mark.parametrize("F", [QQ, GF(5), GF(7), GF(11), GF(13)], ids=str)
+def test_j_ideal_of_matches_refinement_oracle(F):
+    # 110 sets of one to three generators per field: free ones, and
+    # multiples of the generator of a random tuple of length 1 to 4
+    rng = random.Random(1500 + F.characteristic)
+    sets = 0
+    while sets < 110:
+        g = None if sets % 2 else JIdeal(
+            F, _random_monic_tuple(F, rng.randint(1, 4), rng)).generator()
+        gens = [x for x in (_random_j_generator(F, rng, g)
+                            for _ in range(rng.randint(1, 3))) if x]
+        if gens:
+            assert j_ideal_of(gens).coeffs == j_tuple_by_refinement(gens)
+            sets += 1
 
 
 # -- folding and extraction ---------------------------------------------------------
@@ -197,7 +260,7 @@ def test_minimal_ideal_basis_members(field):
     # pattern of the difference-of-axes ideal with period 4
     ideal = ideal_of([A(field, 0) - A(field, 4)])
     pat = ideal.pattern
-    for b in minimal_ideal_basis(field, pat.alpha, pat.epsilon, up_to=12):
+    for b in minimal_ideal_basis(field, pat.alpha, up_to=12):
         assert ideal.contains(b)
 
 
@@ -248,7 +311,8 @@ def _fold_patterns(F):
 @pytest.mark.parametrize("F", [QQ, GF(5), GF(7)], ids=str)
 def test_sparse_folds_match_level_scan(F):
     for alpha, eps in _fold_patterns(F):
-        pat = PatternIdeal(F, alpha, eps, contains_j=False)
+        pat = PatternIdeal(F, alpha)
+        assert pat.epsilon == eps
         d = pat.degree
         for k in range(-3 * d, d // 2 + 1):
             y = _level_scan_fold(pat, k, 1)
@@ -310,8 +374,8 @@ def _oracle_cases():
 def test_reduce_core_matches_division_oracle(F, alpha, eps, n):
     alpha = [Fraction(c) for c in alpha]
     scalars = [F.from_fraction(c) for c in alpha]
-    pat = PatternIdeal(F, scalars, eps,
-                       contains_j=_residue_sums_nonzero(F, scalars))
+    pat = PatternIdeal(F, scalars)
+    assert pat.epsilon == eps
     d, one = pat.degree, F.one.value
     half = F._value(Fraction(1, 2))
     # a(n) and a(n)/2 reduce to t^n mod alpha and half of it
@@ -331,7 +395,7 @@ def test_reduce_core_matches_division_oracle(F, alpha, eps, n):
     # s- and p-inputs, with denominators over Q; s(D/2) alone has an odd
     # numerator at the top 2L of its fold when epsilon = 1
     m = 3 * (n // 3 + 1)
-    members = minimal_ideal_basis(F, pat.alpha, eps, m) \
+    members = minimal_ideal_basis(F, pat.alpha, m) \
         if n <= 3 * d + 1 else None
     for x in (el.from_terms(F, [(("s", n), Fraction(1, 3)),
                                 (("s", n - 1), -2), (("p", 1, m), 1),
@@ -488,10 +552,21 @@ def test_aut_invariance(field):
         assert rep["ok"], rep
 
 
+@pytest.mark.parametrize("F", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("alpha", [(2, 0, 1), (1, 3, -3, 1)])
+def test_pattern_must_be_a_monic_palindrome(F, alpha):
+    # alpha_0 = 2 is no sign; (1, 3, -3, 1) is (t - 1)^3, palindromic up
+    # to -1, with alpha_0 flipped to +1
+    with pytest.raises(IdealArgumentError):
+        PatternIdeal(F, [F.from_fraction(c) for c in alpha])
+    with pytest.raises(IdealArgumentError):
+        minimal_ideal_basis(F, alpha, 6)
+
+
 def test_bad_arguments():
     with pytest.raises(IdealArgumentError):
         JIdeal(QQ, (QQ.one, QQ.zero))  # not monic
     with pytest.raises(IdealArgumentError):
         j_canonicalize(A(QQ, 0))  # not inside the p-span
     with pytest.raises(IdealArgumentError):
-        PatternIdeal(QQ, (QQ.one,), 1, False)
+        PatternIdeal(QQ, (QQ.one,))

@@ -34,7 +34,8 @@ def test_parse_degenerate_index_warns():
 
 
 def test_parse_errors_have_position():
-    for bad in ("a(", "a(0) +", "q(1)", "1/0*a(0)", "a(0) a(1)", ""):
+    for bad in ("a(", "a(0) +", "q(1)", "1/0*a(0)", "a(0) a(1)", "",
+                "a(1)#", "3a(1)", "3", "a(x)"):
         with pytest.raises(ParseError):
             parse_element(QQ, bad)
 

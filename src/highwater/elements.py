@@ -152,37 +152,13 @@ class Element:
         # and Y integral; over F_p the values are ints already
         dx, left = _integral(self.terms, p)
         dy, right = _integral(other.terms, p)
-        acc: dict[Key, int] = {}
-        get = acc.get
-        for k1, n1 in left.items():
-            for k2, n2 in right.items():
-                # translate the pair by a multiple of 3 taken from its axis
-                # subscript; see the comment above _merge
-                if k1[0] == "a":
-                    t = k1[1] - k1[1] % 3
-                elif k2[0] == "a":
-                    t = k2[1] - k2[1] % 3
-                else:
-                    t = 0
-                c = n1 * n2
-                for k3, n in _key_product(
-                        ("a", k1[1] - t) if k1[0] == "a" else k1,
-                        ("a", k2[1] - t) if k2[0] == "a" else k2):
-                    if k3[0] == "a":
-                        k3 = ("a", k3[1] + t)
-                    acc[k3] = get(k3, 0) + c * n
-        out = {}
-        if p:
+        if p:  # divide by 8 before multiplying
             inv = pow(8, -1, p)
-            for k, n in acc.items():
-                if n := n * inv % p:
-                    out[k] = n
-        else:
-            den = 8 * dx * dy
-            for k, n in acc.items():
-                if n:
-                    out[k] = Fraction(n, den)
-        return Element._of(field, out)
+            left = {k: n * inv % p for k, n in left.items()}
+            return Element._of(field, _products(left, right, p))
+        den = 8 * dx * dy
+        return Element._of(field, {k: Fraction(n, den) for k, n
+                                   in _products(left, right, 0).items()})
 
     # -- structural queries --------------------------------------------------
 
@@ -325,18 +301,44 @@ def from_terms(field: Field, terms) -> Element:
 #
 # Every structure constant is a multiple of 1/8, so _key_product returns
 # the product of two basis keys as (key, n) pairs meaning the sum of
-# n/8 * key.  These integers are the same in every field: Element.__mul__
-# accumulates them as plain ints and makes one field value per output
-# key.  The cache is keyed on key pairs alone and shared by all fields.
+# n/8 * key.  These integers are the same in every field: _products
+# accumulates them as plain ints, and its callers make field values.
+# The cache is keyed on key pairs alone and shared by all fields.
 #
 # The translation theta(t) by a multiple t of 3 is an automorphism that
 # shifts axis subscripts by t and fixes every s and p key, because it
 # fixes the residues mod 3 that decide the p-terms.  So a(i) * k is
 # a(i mod 3) * k' with every axis of the result shifted by t = i - i mod 3,
-# where k' is k shifted by -t.  Element.__mul__ looks pairs up in that
-# reduced form, so the cache depends on subscript differences and
-# residues, not on absolute subscripts: it stays bounded however far
-# from 0 the products run.
+# where k' is k shifted by -t.  _products looks pairs up in that reduced
+# form, so a pair and its shift by a multiple of 3 share one entry.  The
+# cache still grows with the subscripts a pair holds: s and p subscripts
+# are keyed as they are, and so is an axis pair's spread i - j.
+
+
+def _products(left: dict, right: dict, p: int) -> dict:
+    """8 * left * right for integer term dicts, reduced mod p, no zeros."""
+    acc: dict[Key, int] = {}
+    get = acc.get
+    for k1, n1 in left.items():
+        for k2, n2 in right.items():
+            # translate the pair by the multiple of 3 in an axis subscript
+            if k1[0] == "a":
+                t = k1[1] - k1[1] % 3
+            elif k2[0] == "a":
+                t = k2[1] - k2[1] % 3
+            else:
+                t = 0
+            c = n1 * n2
+            for k3, n in _key_product(
+                    ("a", k1[1] - t) if k1[0] == "a" else k1,
+                    ("a", k2[1] - t) if k2[0] == "a" else k2):
+                if k3[0] == "a":
+                    k3 = ("a", k3[1] + t)
+                acc[k3] = get(k3, 0) + c * n
+    if p:
+        return {k: m for k, n in acc.items() if (m := n % p)}
+    # terms cancel rarely, and never in the product of two keys
+    return {k: n for k, n in acc.items() if n} if 0 in acc.values() else acc
 
 
 def _merge(acc: dict, key: Key, n: int):
@@ -401,16 +403,6 @@ def _key_product(k1: Key, k2: Key) -> tuple[tuple[Key, int], ...]:
         _add_z(acc, u, abs(h - k), -1)
         _add_z(acc, u, h + k, -1)
     return tuple(acc.items())
-
-
-def _pair_product(k1: Key, k2: Key):
-    """k1 * k2 as (key, n) pairs, looked up translated by the multiple of
-    3 in an axis subscript, as Element.__mul__ does inline."""
-    i = k1[1] if k1[0] == "a" else k2[1] if k2[0] == "a" else 0
-    t = i - i % 3
-    pair = [("a", k[1] - t) if k[0] == "a" else k for k in (k1, k2)]
-    return [(("a", k[1] + t) if k[0] == "a" else k, n)
-            for k, n in _key_product(*pair)]
 
 
 # -- automorphisms ------------------------------------------------------------

@@ -183,15 +183,15 @@ def laurent_gcd(field: Field, patterns):
 class PatternIdeal:
     """The data of an ideal not contained in J.
 
-    ``alpha`` is the monic pattern of degree D, palindromic up to the
-    sign ``epsilon``, which is alpha[0].  ``contains_j`` starts as
-    whether a residue sum of alpha is nonzero; ``ideal_of`` sets it when
-    the extension absorbs J.  ``extension`` is an ``Rref`` of
-    canonical-representative vectors over ``survivor_keys`` spanning the
-    part of the ideal beyond the minimal one; it starts empty and
-    ``ideal_of`` fills it.  Its pivots are the positions of the survivor
-    keys that the extension eliminates.  A ``JIdeal`` reduces its p-part
-    with the ``reduce_core`` of the pattern ideal of its polynomial.
+    ``alpha`` is the monic pattern of degree D, of coefficient sum 0 and
+    palindromic up to the sign ``epsilon``, which is alpha[0].
+    ``contains_j`` starts as whether a residue sum of alpha is nonzero;
+    ``ideal_of`` sets it when the extension absorbs J.  ``extension`` is
+    an ``Rref`` of canonical-representative vectors over ``survivor_keys``
+    spanning the part of the ideal beyond the minimal one; it starts
+    empty and ``ideal_of`` fills it.  Its pivots are the positions of the
+    survivor keys that the extension eliminates.  A ``JIdeal`` reduces its
+    p-part with the ``reduce_core`` of the pattern ideal of its polynomial.
 
     Like every container of coefficients, the reduction path holds raw
     field values (ints in ``range(p)``, or ``Fraction``s over Q), and it
@@ -211,15 +211,25 @@ class PatternIdeal:
         x0 = el.Element(field, {("a", j): c for j, c in enumerate(alpha)})
         a = [c.value for c in alpha]
         neg = [field._value(-c) for c in a]
-        if len(a) < 2 or a[-1] != 1 or a != (a if a[0] == 1 else neg)[::-1]:
-            raise IdealArgumentError("pattern must be monic of degree >= 1 "
-                                     "and palindromic up to sign")
+        if (len(a) < 2 or a[-1] != 1 or a != (a if a[0] == 1 else neg)[::-1]
+                or field._value(sum(a))):
+            raise IdealArgumentError("pattern must be monic of degree >= 1, "
+                                     "palindromic up to sign, of sum 0")
         self.field = field
         self.p = field.characteristic
         self.alpha = alpha
         self.epsilon = 1 if a[0] == 1 else -1
         self.contains_j = any(field._value(sum(a[r::3])) for r in (1, 2))
-        self.survivor_keys = self._survivors()
+        # the lowest s- and p-level that the families reduce
+        d = self.degree
+        self._cutoff = cut = (d // 2 if d % 2 == 0 and self.epsilon == 1
+                              else d // 2 + 1)
+        # the survivors: the a-window, then the s- and p-levels below it
+        self.survivor_keys = [("a", i) for i in range(d)]
+        self.survivor_keys += [("s", n) for n in range(1, cut)]
+        if not self.contains_j:
+            self.survivor_keys += [("p", r, n) for n in range(3, cut, 3)
+                                   for r in (1, 2)]
         self._key_pos = {k: i for i, k in enumerate(self.survivor_keys)}
         self.extension = Rref(self.p)
         # (j, L * alpha_j) for the nonzero alpha_j, which Element unwraps,
@@ -228,10 +238,6 @@ class PatternIdeal:
         self._support = sorted((k[1], int(c * L)) for k, c in x0.terms.items())
         tops = (L, self._support[0][1], 2 * L)
         self._tops = [pow(t, -1, self.p) for t in tops] if self.p else tops
-        # the lowest s- and p-level that the families reduce
-        d = self.degree
-        self._cutoff = (d // 2 if d % 2 == 0 and self.epsilon == 1
-                        else d // 2 + 1)
 
     @property
     def degree(self) -> int:
@@ -241,22 +247,6 @@ class PatternIdeal:
     def extension_rows(self) -> list[dict]:
         """The ``extension`` rows in the order of their pivots."""
         return [row for _, row in sorted(self.extension.rows.items())]
-
-    def _survivors(self) -> list:
-        d = self.degree
-        keys = [("a", i) for i in range(d)]
-        for n in range(1, (d + 1) // 2):
-            keys.append(("s", n))
-        if d % 2 == 0 and self.epsilon == -1:
-            keys.append(("s", d // 2))
-        if not self.contains_j:
-            for n in range(3, (d + 1) // 2, 3):
-                keys.append(("p", 1, n))
-                keys.append(("p", 2, n))
-            if d % 2 == 0 and self.epsilon == -1 and (d // 2) % 3 == 0:
-                keys.append(("p", 1, d // 2))
-                keys.append(("p", 2, d // 2))
-        return keys
 
     # -- the three spanning families ------------------------------------
 
@@ -380,8 +370,14 @@ class JIdeal:
         return 3 * len(self.coeffs)
 
     @property
+    def survivor_keys(self) -> list:
+        """The p-keys below the level, whose images are a basis of J
+        modulo the ideal: the p-survivors of the fold pattern."""
+        return [k for k in self._folds.survivor_keys if k[0] == "p"]
+
+    @property
     def codim_in_j(self) -> int:
-        return 2 * (len(self.coeffs) - 1)
+        return len(self.survivor_keys)
 
     def generator(self) -> el.Element:
         return el.Element(self.field, {("p", 1, 3 * j): c
@@ -511,7 +507,7 @@ def minimal_ideal_basis(field: Field, pattern,
     ideal = PatternIdeal(field, alpha)
     d = ideal.degree
     out = [ideal.x_family(k) for k in range(-up_to, up_to + 1)]
-    top_k = d // 2 if not (d % 2 == 0 and ideal.epsilon == -1) else d // 2 - 1
+    top_k = d - ideal._cutoff
     for k in range(d - up_to, top_k + 1):
         y = ideal.y_family(k)
         if y:
@@ -558,14 +554,11 @@ def _closure(ideal: PatternIdeal,
     products = (ideal.reduce_core(dict(s.terms)) for s in seeds)
 
     def times_keys(w):
-        # w * key for each survivor key from the key-pair cache, as integer
-        # terms: scaling by 8 and by w's denominator leaves the span alone
-        w = [(rotated[j], c) for j, c in el._integral(w, p)[1].items()]
+        # w * key for each survivor key, as integer terms: scaling by 8
+        # and by w's denominator leaves the span alone
+        w = {rotated[j]: c for j, c in el._integral(w, p)[1].items()}
         for b in keys:
-            acc = {}
-            for k, c in w:
-                el._add_scaled(acc, c, el._pair_product(k, b), p)
-            yield acc
+            yield el._products(w, {b: 1}, p)
 
     while True:
         for terms in products:  # reduce_core leaves only survivor keys

@@ -31,7 +31,7 @@ class FiniteAlgebra:
     form a basis of the quotient; structure constants are stored as a map
     (i, j) with i <= j to the coordinates of the product, a sparse
     ``{position: value}`` dict without zero values.  An entry sums
-    n * image(key) over the cached product (n/8 times each key) of its
+    n * image(key) over the kernel's product (n/8 times each key) of its
     basis keys, scaled by 1/8 once; over Q it sums integer numerators over
     the images' common denominator and makes one ``Fraction`` per nonzero
     coordinate.  Key images are memoised per instance: ``to_vector`` sums
@@ -60,9 +60,7 @@ class FiniteAlgebra:
         if source_ideal.kind == "full":
             self.basis_keys = []
         elif source_ideal.kind == "in_j":
-            k = source_ideal.j_ideal.level // 3
-            self.basis_keys = [("p", r, 3 * h)
-                               for h in range(1, k) for r in (1, 2)]
+            self.basis_keys = source_ideal.j_ideal.survivor_keys
         else:
             pat = source_ideal.pattern
             self.basis_keys = [key for i, key in enumerate(pat.survivor_keys)
@@ -71,14 +69,15 @@ class FiniteAlgebra:
         self.basis_labels = [el.Element._of(field, {k: field.one.value})
                              for k in self.basis_keys]
         # reduction is linear: the image of an entry is the sum of images
-        p, n, one = field.characteristic, self.dim, field.one.value
+        p, one = field.characteristic, field.one.value
         inv8 = field.scalar(1, 8).value
         self._images = {k: {t: one} for t, k in enumerate(self.basis_keys)}
         den, ints = 1, {}  # integer key images over one denominator
         self.structure: dict[tuple[int, int], dict] = {}
-        for i, ki in enumerate(self.basis_keys):
-            prods = [el._pair_product(ki, kj) for kj in self.basis_keys[i:]]
-            keys = dict.fromkeys(k for prod in prods for k, _ in prod)
+        singles = [{k: 1} for k in self.basis_keys]
+        for i, left in enumerate(singles):
+            prods = [el._products(left, right, 0) for right in singles[i:]]
+            keys = {k: None for prod in prods for k in prod}
             for key in [k for k in keys if k not in ints]:
                 d, img = el._integral(self._key_image(key), p)
                 if den % d:  # a new denominator: rescale the images so far
@@ -88,7 +87,7 @@ class FiniteAlgebra:
                 ints[key] = [(t, v * (den // d)) for t, v in img.items()]
             for j, prod in enumerate(prods, i):
                 acc = {}
-                for key, c in prod:
+                for key, c in prod.items():
                     for t, v in ints[key]:
                         acc[t] = acc.get(t, 0) + c * v
                 self.structure[(i, j)] = {

@@ -137,20 +137,6 @@ def test_key_product_cache_stays_bounded():
     assert el._key_product.cache_info().currsize == size
 
 
-@pytest.mark.parametrize("F", [QQ, GF(7)], ids=str)
-def test_pair_product_matches_element_product(F):
-    # quotient tables read _pair_product; Element.__mul__ inlines the same
-    # translation, so the two must agree on every pair of single keys
-    keys = [("a", i) for i in range(-7, 8)]
-    keys += [("a", s * 10 ** 5 + r) for s in (1, -1) for r in (0, 1, 2)]
-    keys += [("s", j) for j in range(1, 5)]
-    keys += [("p", r, k) for k in (3, 6, 9) for r in (1, 2)]
-    labels = {k: el.Element._of(F, {k: F.one.value}) for k in keys}
-    for k1, k2 in product(keys, repeat=2):
-        assert labels[k1] * labels[k2] == el.from_terms(
-            F, [(k, Fraction(n, 8)) for k, n in el._pair_product(k1, k2)])
-
-
 # -- vector-space operations ------------------------------------------------------
 
 def test_add_cancel(field):

@@ -178,31 +178,27 @@ def _cmd_families(args) -> int:
     return 0
 
 
+# each suite returns a report with "ok" or a list of entries, each with "ok"
+_SUITES = {
+    "fusion": fusion_check,
+    "products": product_identity_suite,
+    "twisted": twisted_identity_suite,
+    "quotients": lambda field, imax: small_quotient_suite(field),
+    "miyamoto": lambda field, imax: miyamoto_consistency(field, 0, imax),
+}
+
+
 def _cmd_verify(args) -> int:
     field = _field(args)
     if args.imax < 1:
         raise _UsageError("--imax must be at least 1")
     suite = args.suite
-    if suite == "fusion":
-        rep = fusion_check(field, args.imax)
-        ok = rep["ok"]
-        detail = rep
-    elif suite == "products":
-        entries = product_identity_suite(field, args.imax)
-        ok = all(e["ok"] for e in entries)
-        detail = {"entries": entries}
-    elif suite == "twisted":
-        entries = twisted_identity_suite(field, args.imax)
-        ok = all(e["ok"] for e in entries)
-        detail = {"entries": entries}
-    elif suite == "quotients":
-        entries = small_quotient_suite(field)
-        ok = all(e["ok"] for e in entries)
-        detail = {"entries": entries}
-    else:  # miyamoto
-        rep = miyamoto_consistency(field, 0, args.imax)
-        ok = rep["ok"]
-        detail = rep
+    detail = _SUITES[suite](field, args.imax)
+    if isinstance(detail, list):
+        detail = {"entries": detail}
+        ok = all(e["ok"] for e in detail["entries"])
+    else:
+        ok = detail["ok"]
     payload = {"command": "verify", "suite": suite,
                "characteristic": field.characteristic, "ok": ok}
     payload.update({"detail": detail})
@@ -268,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     common(sp)
-    sp.add_argument("suite", choices=("fusion", "products", "twisted",
-                                      "quotients", "miyamoto"))
+    sp.add_argument("suite", choices=tuple(_SUITES))
     sp.add_argument("--imax", type=int, default=8)
     sp.set_defaults(func=_cmd_verify)
     return parser

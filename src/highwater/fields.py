@@ -54,6 +54,9 @@ class Field:
     _cache: dict[int, "Field"] = {}
 
     def __new__(cls, characteristic: int):
+        if type(characteristic) is not int:  # 13.0 would hash like 13
+            raise BadCharacteristicError(
+                f"characteristic must be an int, got {characteristic!r}")
         if characteristic in cls._cache:
             return cls._cache[characteristic]
         if characteristic in (2, 3):

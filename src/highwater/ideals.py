@@ -165,8 +165,10 @@ def laurent_gcd(field: Field, patterns):
     """
     items = []
     for idx, pat in enumerate(patterns):
-        poly = _poly_trim([c.value if isinstance(c, Scalar)
-                           else field._value(c) for c in pat])
+        # a Scalar must be of this field: _check raises, or returns None
+        poly = _poly_trim([field.zero._check(c) or c.value
+                           if isinstance(c, Scalar) else field._value(c)
+                           for c in pat])
         if poly:
             items.append((poly, {(idx, 0): field.one.value}))
     if not items:

@@ -10,6 +10,7 @@ Miyamoto orbit machinery, and a battery of hand-checked small quotients.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from . import elements as el
@@ -28,9 +29,9 @@ class FiniteAlgebra:
     """A finite-dimensional quotient with basis labels and structure constants.
 
     ``basis_keys`` are single basis keys of the big algebra whose images
-    form a basis of the quotient; structure constants are stored as a map
-    (i, j) with i <= j to the coordinates of the product, a sparse
-    ``{position: value}`` dict without zero values.  An entry sums
+    form a basis of the quotient; ``structure``, built whole on its first
+    read, maps (i, j) with i <= j to the coordinates of the product, a
+    sparse ``{position: value}`` dict without zero values.  An entry sums
     n * image(key) over the kernel's product (n/8 times each key) of its
     basis keys, scaled by 1/8 once; over Q it sums integer numerators over
     the images' common denominator and makes one ``Fraction`` per nonzero
@@ -68,12 +69,16 @@ class FiniteAlgebra:
         self._key_pos = {k: i for i, k in enumerate(self.basis_keys)}
         self.basis_labels = [el.Element._of(field, {k: field.one.value})
                              for k in self.basis_keys]
-        # reduction is linear: the image of an entry is the sum of images
-        p, one = field.characteristic, field.one.value
-        inv8 = field.scalar(1, 8).value
+        one = field.one.value
         self._images = {k: {t: one} for t, k in enumerate(self.basis_keys)}
+
+    @cached_property
+    def structure(self) -> dict[tuple[int, int], dict]:
+        """The whole table, built on first read and kept."""
+        # reduction is linear: the image of an entry is the sum of images
+        p, inv8 = self.field.characteristic, self.field.scalar(1, 8).value
         den, ints = 1, {}  # integer key images over one denominator
-        self.structure: dict[tuple[int, int], dict] = {}
+        structure = {}
         singles = [{k: 1} for k in self.basis_keys]
         for i, left in enumerate(singles):
             prods = [el._products(left, right, 0) for right in singles[i:]]
@@ -90,9 +95,10 @@ class FiniteAlgebra:
                 for key, c in prod.items():
                     for t, v in ints[key]:
                         acc[t] = acc.get(t, 0) + c * v
-                self.structure[(i, j)] = {
+                structure[(i, j)] = {
                     t: s * inv8 % p if p else Fraction(s, 8 * den)
                     for t, s in acc.items() if (s % p if p else s)}
+        return structure
 
     @property
     def dim(self) -> int:

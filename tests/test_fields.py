@@ -24,10 +24,14 @@ def test_zero_and_one_built_once(F):
         F.zero = F.one
 
 
-@pytest.mark.parametrize("bad", [2, 3, 4, 6, 9, 15, -1])
+@pytest.mark.parametrize("bad", [2, 3, 4, 6, 9, 15, -1, 13.0, Fraction(7)],
+                         ids=repr)
 def test_bad_characteristic_rejected(bad):
     with pytest.raises(BadCharacteristicError):
         Field(bad)
+    # a rejected 13.0 is not cached under the key 13
+    assert type(GF(13).characteristic) is int
+    assert GF(13).characteristic == 13
 
 
 # 3215031751 and 3825123056546413051 are strong pseudoprimes to the bases

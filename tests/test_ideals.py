@@ -229,6 +229,14 @@ def test_laurent_gcd_carries_over_a_split(F):
         assert laurent_gcd(F, [list(head)] + pats[k:])[0] == want
 
 
+def test_laurent_gcd_rejects_scalars_of_another_field():
+    # GF(7)'s 1/2 has value 4, which must not be read as a GF(5) value
+    with pytest.raises(FieldMismatchError):
+        laurent_gcd(GF(5), [[GF(7).scalar(1, 2), GF(7).one]])
+    with pytest.raises(FieldMismatchError):
+        laurent_gcd(QQ, [[1, 1], [GF(5).one, QQ.one]])
+
+
 @pytest.mark.parametrize("F", [QQ, GF(5), GF(7), GF(11), GF(13)], ids=str)
 def test_untracked_gcd_matches_laurent_gcd(F):
     # ideal_of runs the gcd without the Bezout combination, on raw values;

@@ -118,7 +118,8 @@ def test_structure_matches_product_images(F):
 @pytest.mark.parametrize("F", [QQ, GF(7)], ids=str)
 @pytest.mark.parametrize("n", [16, 30])
 def test_table_reduces_few_keys(monkeypatch, F, n):
-    # each distinct key of the products is reduced once, not each product
+    # construction reduces no key; the first table read reduces each
+    # distinct key of the products once, not each product
     calls = []
     reduce = IdealData.reduce
 
@@ -132,9 +133,10 @@ def test_table_reduces_few_keys(monkeypatch, F, n):
         monkeypatch.setattr(IdealData, "reduce", counting)
         calls.clear()
         q = FiniteAlgebra(ideal)
-        assert q.dim > 1
+        assert q.dim > 1 and not calls
+        assert len(q.structure) == q.dim * (q.dim + 1) // 2
         assert len(calls) <= 2 * q.dim + 2
-        # the orbit that follows reduces only axes the build did not image
+        # the orbit that follows reduces only axes the table did not image
         imaged = set(q._images)
         calls.clear()
         axis_orbit(q, cutoff=30)
@@ -142,6 +144,23 @@ def test_table_reduces_few_keys(monkeypatch, F, n):
         keys = [k for x in calls for k in x.terms]
         assert len(keys) == len(calls) == len(set(keys))
         assert all(k[0] == "a" and k not in imaged for k in keys)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(7)], ids=str)
+def test_structure_is_built_on_first_read(F):
+    # dimension, coordinates and axis images leave the table unbuilt
+    q = family_Ln(30, F)
+    assert q.dim > 1
+    q.to_vector(A(F, 0) * A(F, 7))
+    axis_orbit(q, cutoff=40)
+    assert "structure" not in vars(q)
+    # one product builds the whole table, once
+    e0 = q.to_vector(A(F, 0))
+    assert q.mult(e0, e0) == e0
+    table = vars(q)["structure"]
+    assert len(table) == q.dim * (q.dim + 1) // 2
+    q.adjoint(e0)
+    assert q.structure is table
 
 
 def _far_element(F, rng, p_only):

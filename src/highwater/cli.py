@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from contextlib import suppress
+from functools import cache
 
 from . import elements as el
 from .eigen import (eigendecompose, fusion_check, miyamoto_consistency,
@@ -61,9 +62,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _cmd_mul(args) -> int:
     field = _field(args)
-    x = _parse(field, args.x)
-    y = _parse(field, args.y)
-    z = x * y
+    z = _parse(field, args.x) * _parse(field, args.y)
     _emit(args, {"command": "mul", "characteristic": field.characteristic,
                  "result": element_to_json(z), "text": format_element(z)},
           format_element(z))
@@ -72,8 +71,7 @@ def _cmd_mul(args) -> int:
 
 def _cmd_weight(args) -> int:
     field = _field(args)
-    x = _parse(field, args.x)
-    w = x.weight()
+    w = _parse(field, args.x).weight()
     _emit(args, {"command": "weight",
                  "characteristic": field.characteristic,
                  "weight": str(w)}, str(w))
@@ -82,16 +80,14 @@ def _cmd_weight(args) -> int:
 
 def _cmd_eigen(args) -> int:
     field = _field(args)
-    x = _parse(field, args.x)
-    dec = eigendecompose(x, args.axis)
+    dec = eigendecompose(_parse(field, args.x), args.axis)
     comps = [{"eigenvalue": str(q), "element": element_to_json(c),
               "text": format_element(c)}
              for q, c in sorted(dec.components.items(),
                                 key=lambda t: str(t[0]))
              if not c.is_zero()]
-    lines = [f"axis a({args.axis})"]
-    for c in comps:
-        lines.append(f"  eigenvalue {c['eigenvalue']}: {c['text']}")
+    lines = [f"axis a({args.axis})"] + [
+        f"  eigenvalue {c['eigenvalue']}: {c['text']}" for c in comps]
     if not dec.is_total:
         lines.append(f"  residual: {format_element(dec.residual)}")
     _emit(args, {"command": "eigen", "characteristic": field.characteristic,
@@ -144,7 +140,7 @@ def _cmd_quotient(args) -> int:
     if ideal.kind == "in_j" and not args.j_relative:
         raise _UsageError("an ideal inside the radical has infinite "
                           "codimension; pass --j-relative")
-    if ideal.kind == "pattern" and args.j_relative:
+    if ideal.kind in ("pattern", "full") and args.j_relative:
         raise _UsageError("--j-relative only applies to radical ideals")
     try:
         q = FiniteAlgebra(ideal, j_relative=args.j_relative)
@@ -200,8 +196,8 @@ def _cmd_verify(args) -> int:
     else:
         ok = detail["ok"]
     payload = {"command": "verify", "suite": suite,
-               "characteristic": field.characteristic, "ok": ok}
-    payload.update({"detail": detail})
+               "characteristic": field.characteristic, "ok": ok,
+               "detail": detail}
     _emit(args, payload, f"{suite}: {'ok' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -270,9 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # main's parser: built on first use, kept
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (_UsageError, ParseError, IdealArgumentError) as e:

@@ -60,11 +60,8 @@ class FusionLaw:
 
     def __init__(self, field: Field):
         self.field = field
-        self.values = []
-        for q in EIGENVALUES:
-            v = field.from_fraction(q)
-            if v not in self.values:
-                self.values.append(v)
+        self.values = list(dict.fromkeys(field.from_fraction(q)
+                                         for q in EIGENVALUES))
         table: dict[tuple[Scalar, Scalar], set[Scalar]] = {}
         for (lam, mu), out in _RATIONAL_FUSION.items():
             lv, mv = field.from_fraction(lam), field.from_fraction(mu)

@@ -493,8 +493,6 @@ def apply(aut: Automorphism, x: Element) -> Element:
 
 def c_elem(field: Field, i: int) -> Element:
     """c(i) = 2 a(0) - a(-i) - a(i); c(0) = 0."""
-    if i == 0:
-        return Element(field)
     return from_terms(field, [(("a", 0), 2), (("a", -i), -1), (("a", i), -1)])
 
 
@@ -516,9 +514,7 @@ def v_elem(field: Field, i: int) -> Element:
 
 
 def w_elem(field: Field, i: int) -> Element:
-    """1/2-eigenvector w(i) = a(-i) - a(i)."""
-    if i == 0:
-        return Element(field)
+    """1/2-eigenvector w(i) = a(-i) - a(i); w(0) = 0."""
     return axis(field, -i) - axis(field, i)
 
 

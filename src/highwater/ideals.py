@@ -23,6 +23,12 @@ reduce by the same fold sweep (``PatternIdeal.reduce_core``).  Reduction
 against an ideal produces a canonical representative of the coset with
 a-support inside [0, D-1], s- and p-support below the survivor cutoff,
 and extension coordinates eliminated; membership is reduction to zero.
+
+Over Q, ``ideal_of`` works on integers: patterns are keyed as coprime
+integer tuples, the Euclid is a primitive remainder sequence over Z, and
+the closure reduces and row-reduces integer numerators.  ``Fraction``s
+are made only where values leave: the monic gcd, ``PatternIdeal.alpha``,
+its ``extension`` rows and what ``reduce`` returns.
 """
 
 from __future__ import annotations
@@ -91,12 +97,11 @@ def pure_a_extract(g: el.Element) -> el.Element:
     """A nonzero pure-a element of the ideal generated by g (g not in J)."""
     if g.is_zero() or g.in_p_span():
         raise IdealArgumentError("pure_a_extract needs a generator outside J")
-    field = g.field
     if not g.part("a").is_zero():
         return g - el.apply(el.theta(3), g)
     # no a-part: average the p-part away, then multiply into the a-part
     s_triple = g + el.apply(el.theta(1), g) + el.apply(el.theta(2), g)
-    y = el.axis(field, 0) * s_triple
+    y = el.axis(g.field, 0) * s_triple
     return y - el.apply(el.theta(3), y)
 
 
@@ -108,48 +113,63 @@ def _poly_trim(poly: list) -> list:
     return poly
 
 
+def _primitive(poly, p: int, comb=None) -> tuple:
+    """``(poly, comb)`` at exponent 0, scaled to be monic over F_p and over Q
+    to coprime integers with a positive lead: a key up to scalars."""
+    low = next(i for i, c in enumerate(poly) if c)
+    if p:
+        s = pow(poly[-1], -1, p)
+        poly = poly[low:] if s == 1 else [c * s % p for c in poly[low:]]
+    else:
+        den = lcm(*[c.denominator for c in poly])
+        poly = [c.numerator * (den // c.denominator) for c in poly[low:]]
+        g = gcd(*poly) if poly[-1] > 0 else -gcd(*poly)
+        poly = [c // g for c in poly] if g != 1 else poly
+        s = comb and Fraction(den, g)  # the scale, made for a tracked comb
+    if comb is not None:
+        comb = {(idx, sh - low): v * s % p if p else v * s
+                for (idx, sh), v in comb.items()}
+    return tuple(poly), comb
+
+
 def _euclid(a: tuple, b: tuple, p: int) -> tuple:
-    """gcd of ``(poly, comb)`` pairs: raw values, low order first, and the
-    expression ``{(input_index, shift): raw value}`` over the shifted
-    inputs, or None when the combination is not tracked."""
+    """gcd of ``(poly, comb)`` pairs in ``_primitive`` form: raw values, low
+    order first, and ``{(input_index, shift): raw value}`` over the shifted
+    inputs, or None when untracked.  Over F_p the divisor is monic; over Q
+    this is the primitive remainder sequence over Z (Collins, 1967)."""
     while b[0]:
-        # divide a by b, keeping only the remainder
         r, (bpoly, bcomb) = list(a[0]), b
         rcomb = None if a[1] is None else dict(a[1])
-        db = len(bpoly) - 1
-        lead_inv = pow(bpoly[-1], -1, p) if p else 1 / bpoly[-1]
+        db, lead = len(bpoly) - 1, bpoly[-1]
         while _poly_trim(r) and len(r) - 1 >= db:
-            c = r[-1] * lead_inv
-            k = len(r) - 1 - db
+            c, k = r[-1], len(r) - 1 - db
+            if not p:  # r = m * r - c / lead * m * t^k * b stays integral
+                g = gcd(c, lead)
+                c, m = c // g, lead // g
+                if m != 1:
+                    r = [v * m for v in r]
+                    rcomb = rcomb and {key: v * m for key, v in rcomb.items()}
             for i, bc in enumerate(bpoly):
                 v = r[k + i] - c * bc
                 r[k + i] = v % p if p else v
             if rcomb is not None:  # rcomb -= c * t^k * bcomb
                 el._add_scaled(rcomb, -c, [((idx, sh + k), v) for (idx, sh), v
                                            in bcomb.items()], p)
-            _poly_trim(r)
-        a, b = b, (_poly_trim(r), rcomb)
+        a, b = b, (_primitive(r, p, rcomb) if r else ((), rcomb))
     return a
 
 
-def _normalize(poly: list, comb, p: int) -> tuple:
-    """The pair shifted to exponent 0 and scaled to be monic."""
-    low = next(i for i, c in enumerate(poly) if c)
-    poly = poly[low:]
-    inv = pow(poly[-1], -1, p) if p else 1 / poly[-1]
-    poly = [c * inv % p if p else c * inv for c in poly]
-    if comb is not None:
-        comb = {(idx, sh - low): v * inv % p if p else v * inv
-                for (idx, sh), v in comb.items()}
-    return poly, comb
-
-
 def _gcd(p: int, items: list) -> tuple:
-    """The monic gcd ``(poly, comb)`` of nonzero ``(poly, comb)`` pairs."""
-    acc = _normalize(*items[0], p)
-    for item in items[1:]:
-        acc = _normalize(*_euclid(acc, item, p), p)
-    return acc
+    """The monic gcd ``(poly, comb)`` of nonzero ``(poly, comb)`` pairs;
+    over Q its values are ``Fraction``s, made once at the end."""
+    acc = _primitive(items[0][0], p, items[0][1])
+    for poly, comb in items[1:]:
+        acc = _euclid(acc, _primitive(poly, p, comb), p)
+    if p:
+        return acc
+    (poly, comb), lead = acc, acc[0][-1]
+    return tuple(Fraction(c, lead) for c in poly), comb and {
+        key: v / lead for key, v in comb.items()}
 
 
 def laurent_gcd(field: Field, patterns):
@@ -160,8 +180,9 @@ def laurent_gcd(field: Field, patterns):
     ``(gcd_coeffs, combination)`` where combination is a list of
     ``(input_index, shift, coeff)`` triples expressing the gcd as a sum
     of shifted scalar multiples of the inputs; the coefficients are
-    ``Scalar``s, the working polynomials raw values.  ``ideal_of``, which
-    needs only the gcd, runs the same Euclid untracked on raw values.
+    ``Scalar``s.  Over Q the Euclid runs on integer polynomials and keeps
+    the combination rational; ``ideal_of``, which needs only the gcd, runs
+    it untracked.
     """
     items = []
     for idx, pat in enumerate(patterns):
@@ -195,36 +216,37 @@ class PatternIdeal:
     survivor keys that the extension eliminates.  A ``JIdeal`` reduces its
     p-part with the ``reduce_core`` of the pattern ideal of its polynomial.
 
-    Like every container of coefficients, the reduction path holds raw
-    field values (ints in ``range(p)``, or ``Fraction``s over Q), and it
-    holds them sparse, without zero values: ``reduce_core`` takes and
-    returns a ``{key: value}`` dict, and ``to_vector``, ``from_vector``
-    and the ``extension`` rows use ``{position: value}`` dicts over
-    ``survivor_keys``.  Only ``alpha``, a tuple of single coefficients
-    passed in, holds ``Scalar``s.  Inside, ``reduce_core`` sweeps integer
-    numerators over one denominator (1 over F_p) against the families
-    times L, the lcm of alpha's denominators, and makes one ``Fraction``
-    per term out.
+    Values are sparse dicts without zeros: ``{key: value}`` in and out of
+    ``reduce_core``, ``{position: value}`` over ``survivor_keys`` for
+    ``to_vector``, ``from_vector`` and the ``extension`` rows.  Inside, the
+    work is on integers: the constructor checks L * alpha, for L the lcm
+    of alpha's denominators (1 over F_p), and ``reduce_core`` sweeps
+    integer numerators over one denominator against the families times L.
+    Over Q ``Fraction``s are made only for what leaves: ``alpha`` holds
+    ``Scalar``s of them, the ``extension`` rows hold them, and
+    ``reduce_core`` makes one per output term unless asked for integers.
     """
 
     def __init__(self, field: Field, alpha):
         alpha = tuple(alpha)
-        # Element checks that alpha holds Scalars of the field
-        x0 = el.Element(field, {("a", j): c for j, c in enumerate(alpha)})
+        for c in alpha:
+            field.zero._check(c)  # a Scalar of this field, or raise
+        # L * alpha as ints, L the lcm of alpha's denominators (1 over F_p)
+        p = field.characteristic
         a = [c.value for c in alpha]
-        neg = [field._value(-c) for c in a]
-        if (len(a) < 2 or a[-1] != 1 or a != (a if a[0] == 1 else neg)[::-1]
-                or field._value(sum(a))):
+        L = lcm(*(c.denominator for c in a))
+        a = [c.numerator * (L // c.denominator) for c in a]
+        eps = 1 if a and a[0] == L else -1
+        if (len(a) < 2 or a[-1] != L or (sum(a) % p if p else sum(a))
+                or a != [eps * c % p if p else eps * c for c in a[::-1]]):
             raise IdealArgumentError("pattern must be monic of degree >= 1, "
                                      "palindromic up to sign, of sum 0")
-        self.field = field
-        self.p = field.characteristic
-        self.alpha = alpha
-        self.epsilon = 1 if a[0] == 1 else -1
-        self.contains_j = any(field._value(sum(a[r::3])) for r in (1, 2))
+        self.field, self.p, self.alpha, self.epsilon = field, p, alpha, eps
+        self.contains_j = any(sum(a[r::3]) % p if p else sum(a[r::3])
+                              for r in (1, 2))
         # the lowest s- and p-level that the families reduce
         d = self.degree
-        self._cutoff = cut = (d // 2 if d % 2 == 0 and self.epsilon == 1
+        self._cutoff = cut = (d // 2 if d % 2 == 0 and eps == 1
                               else d // 2 + 1)
         # the survivors: the a-window, then the s- and p-levels below it
         self.survivor_keys = [("a", i) for i in range(d)]
@@ -234,12 +256,12 @@ class PatternIdeal:
                                    for r in (1, 2)]
         self._key_pos = {k: i for i, k in enumerate(self.survivor_keys)}
         self.extension = Rref(self.p)
-        # (j, L * alpha_j) for the nonzero alpha_j, which Element unwraps,
-        # and the family tops L, L * alpha_0 and 2L, inverted over F_p
-        self._scale = L = lcm(*(c.denominator for c in x0.terms.values()))
-        self._support = sorted((k[1], int(c * L)) for k, c in x0.terms.items())
-        tops = (L, self._support[0][1], 2 * L)
-        self._tops = [pow(t, -1, self.p) for t in tops] if self.p else tops
+        # (j, L * alpha_j) for the nonzero alpha_j, and the family tops L,
+        # L * alpha_0 and 2L, inverted over F_p
+        self._scale = L
+        self._support = [(j, c) for j, c in enumerate(a) if c]
+        tops = (L, a[0], 2 * L)
+        self._tops = [pow(t, -1, p) for t in tops] if p else tops
 
     @property
     def degree(self) -> int:
@@ -272,9 +294,10 @@ class PatternIdeal:
 
     # -- reduction -------------------------------------------------------
 
-    def reduce_core(self, rem: dict) -> dict:
+    def reduce_core(self, rem: dict, integral: bool = False) -> dict:
         """Reduce raw terms ``{key: value}`` against the minimal-ideal
-        families only; may consume ``rem``, and returns the result."""
+        families only; may consume ``rem``, and returns the result (with
+        ``integral``, over Q, its numerators over a positive integer)."""
         d, p, support = self.degree, self.p, self._support
         top, bottom, top2 = self._tops
         den, rem = el._integral(rem, p)
@@ -313,7 +336,8 @@ class PatternIdeal:
                 n, key = max(tops)
                 cancel(rem[key], top2 if 2 * n == d else top,
                        _fold(support, d - n, step, key[:-1], p))
-        return rem if p else {k: Fraction(c, den) for k, c in rem.items()}
+        return rem if p or integral else {
+            k: Fraction(c, den) for k, c in rem.items()}
 
     def to_vector(self, rem: dict) -> dict:
         """``{position: value}`` over ``survivor_keys`` of reduced terms."""
@@ -357,9 +381,8 @@ class JIdeal:
         coeffs = tuple(coeffs)
         if not coeffs or not coeffs[-1]:
             raise IdealArgumentError("tuple must have a nonzero top entry")
-        if coeffs[-1] != field.one:
-            inv = coeffs[-1].inverse()
-            coeffs = tuple(c * inv for c in coeffs)
+        inv = coeffs[-1].inverse()  # monic
+        coeffs = tuple(c * inv for c in coeffs)
         self.field = field
         self.coeffs = coeffs
         mid = sum(coeffs, field.zero) * field.scalar(-2)
@@ -428,7 +451,6 @@ def j_ideal_of(generators) -> JIdeal:
     if any(not g.in_p_span() for g in items):
         raise IdealArgumentError("generators must lie in J")
     field = items[0].field
-    p = field.characteristic
     polys = []
     for g in items:
         items[0]._check(g)
@@ -442,7 +464,7 @@ def j_ideal_of(generators) -> JIdeal:
                     poly[m - i] = poly[m + i] = v
                 poly[m] = field._value(-2 * sum(c.values()))
                 polys.append((poly, None))
-    beta, _ = _gcd(p, polys)
+    beta, _ = _gcd(field.characteristic, polys)
     k = len(beta) // 2
     return JIdeal(field, [Scalar(field, c) for c in beta[k + 1:]])
 
@@ -485,13 +507,11 @@ class IdealData:
             out["j_tuple"] = [str(c) for c in self.j_ideal.coeffs]
             out["codim_in_j"] = self.j_ideal.codim_in_j
         elif self.kind == "pattern":
-            pat = self.pattern
-            out["pattern"] = [str(c) for c in pat.alpha]
-            out["epsilon"] = pat.epsilon
-            out["contains_j"] = pat.contains_j
-            out["extension_dim"] = len(pat.extension_rows)
-            out["quotient_dim"] = (len(pat.survivor_keys)
-                                   - len(pat.extension_rows))
+            pat, ext = self.pattern, len(self.pattern.extension.rows)
+            out.update(pattern=[str(c) for c in pat.alpha],
+                       epsilon=pat.epsilon, contains_j=pat.contains_j,
+                       extension_dim=ext,
+                       quotient_dim=len(pat.survivor_keys) - ext)
         return out
 
 
@@ -507,87 +527,73 @@ def minimal_ideal_basis(field: Field, pattern,
     alpha = [c if isinstance(c, Scalar) else field.from_fraction(c)
              for c in pattern]
     ideal = PatternIdeal(field, alpha)
-    d = ideal.degree
+    folds = range(ideal.degree - up_to, ideal.degree - ideal._cutoff + 1)
     out = [ideal.x_family(k) for k in range(-up_to, up_to + 1)]
-    top_k = d - ideal._cutoff
-    for k in range(d - up_to, top_k + 1):
-        y = ideal.y_family(k)
-        if y:
-            out.append(y)
+    out += [ideal.y_family(k) for k in folds]
     if ideal.contains_j:
-        for n in range(3, up_to + 1, 3):
-            out.append(el.pi(field, 1, n))
-            out.append(el.pi(field, 2, n))
+        out += [el.pi(field, r, n) for n in range(3, up_to + 1, 3)
+                for r in (1, 2)]
     else:
-        for k in range(d - up_to, top_k + 1):
-            for r in (1, 2):
-                p = ideal.p_family(k, r)
-                if p:
-                    out.append(p)
+        out += [ideal.p_family(k, r) for k in folds for r in (1, 2)]
     return [x for x in out if x]
 
 
 # -- the general classification engine -------------------------------------------
 
-def _pattern_of_pure_a(x: el.Element) -> tuple:
-    """Raw coefficients of a pure-a element, lowest exponent moved to 0."""
-    idx = {k[1]: c for k, c in x.terms.items()}
-    zero = x.field.zero.value
-    return tuple(idx.get(i, zero) for i in range(min(idx), max(idx) + 1))
-
-
-def _closure(ideal: PatternIdeal,
-             seeds: list[el.Element]) -> el.Element | None:
+def _closure(ideal: PatternIdeal, seeds: list[el.Element]) -> tuple | None:
     """Row-reduce seed representatives and close their span under
     multiplication, stopping at its first pure-a member.
 
-    The span is kept in one ``Rref`` with the a-window columns rotated
-    to the end, so an insert pivots there exactly when the span gains a
-    pure-a member; that member is returned.  A closure that finds none
-    runs to the end, so its span is closed: its rows, unrotated, go into
-    ``ideal.extension`` (the RREF of a span is unique, so the pivots do
-    not depend on the detour), and the result is None.
+    The span is kept in one integral ``Rref`` with the a-window columns
+    rotated to the end, so an insert pivots there exactly when the span
+    gains a pure-a member; its pattern is returned.  A closure that finds
+    none runs to the end, so its span is closed: its rows, unrotated and
+    with unit pivots, go into ``ideal.extension`` (the RREF of a span is
+    unique, so the pivots do not depend on the detour); the result is None.
     """
     p, d, keys = ideal.p, ideal.degree, ideal.survivor_keys
     n = len(keys)
     rotated = keys[d:] + keys[:d]  # column j of rr is survivor (j + d) % n
     col = {k: j for j, k in enumerate(rotated)}
-    rr, queue = Rref(p), []
-    products = (ideal.reduce_core(dict(s.terms)) for s in seeds)
+    rr, queue = Rref(p, integral=True), []
+    products = (dict(s.terms) for s in seeds)
 
     def times_keys(w):
         # w * key for each survivor key, as integer terms: scaling by 8
-        # and by w's denominator leaves the span alone
-        w = {rotated[j]: c for j, c in el._integral(w, p)[1].items()}
+        # leaves the span alone
+        w = {rotated[j]: c for j, c in w.items()}
         for b in keys:
             yield el._products(w, {b: 1}, p)
 
     while True:
         for terms in products:  # reduce_core leaves only survivor keys
+            terms = ideal.reduce_core(terms, integral=True)
             w = {col[k]: c for k, c in terms.items()}
             if rr.insert(w):
                 piv = next(reversed(rr.rows))  # the new row's, added last
-                if piv >= n - d:
-                    return el.Element._of(ideal.field, {
-                        rotated[j]: c for j, c in rr.rows[piv].items()})
+                if piv >= n - d:  # columns n - d, ..., n - 1 are a(0), ...
+                    row = rr.rows[piv]
+                    return _primitive([row.get(j, 0) for j in range(
+                        piv, max(row) + 1)], p)[0]
                 queue.append(w)
         if not queue:
             break
         # fresh products: reduce_core may consume their terms
-        products = map(ideal.reduce_core, times_keys(queue.pop()))
-    for row in rr.rows.values():
-        ideal.extension.insert({(j + d) % n: c for j, c in row.items()})
+        products = times_keys(queue.pop())
+    for piv, row in rr.rows.items():
+        top = row[piv]  # 1 over F_p
+        ideal.extension.insert({(j + d) % n: c if p else Fraction(c, top)
+                                for j, c in row.items()})
     return None
 
 
 def ideal_of(generators) -> IdealData:
     """Classify the two-sided ideal generated by finitely many elements."""
+    if not generators:
+        raise IdealArgumentError("need at least one element")
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
-        field = generators[0].field if generators else None
-        if field is None:
-            raise IdealArgumentError("need at least one element")
-        return IdealData(field, "zero")
+        return IdealData(generators[0].field, "zero")
     field = gens[0].field
     for g in gens[1:]:
         gens[0]._check(g)
@@ -598,18 +604,22 @@ def ideal_of(generators) -> IdealData:
     # first two axes; their patterns and, for palindromic symmetry, the
     # reversed ones, which are up to sign the patterns of the reflections
     pool = []
+    p = field.characteristic
     a0, a1 = el.axis(field, 0), el.axis(field, 1)
     for g in gens:
         for h in (g, g * a0, g * a1):
             if not (h.is_zero() or h.in_p_span()):
-                pool.append(_pattern_of_pure_a(pure_a_extract(h)))
+                c = {k[1]: v for k, v in pure_a_extract(h).terms.items()}
+                pool.append(_primitive([c.get(i, 0) for i in range(
+                    min(c), max(c) + 1)], p)[0])
 
-    p = field.characteristic
     while True:
-        # duplicates leave the gcd as it is: pass each pattern once
+        # patterns are keyed up to scalars, and multiples leave the gcd as
+        # it is: pass each pattern once
         alpha, _ = _gcd(p, [(pat, None) for pat in dict.fromkeys(
-            q for pat in pool for q in (pat, pat[::-1]))])
-        if sum(alpha) % p if p else sum(alpha):
+            q for pat in pool for q in (pat, _primitive(pat[::-1], p)[0]))])
+        key = _primitive(alpha, p)[0]
+        if sum(key) % p if p else sum(key):
             return IdealData(field, "full")
 
         ideal = PatternIdeal(field, [Scalar(field, c) for c in alpha])
@@ -619,7 +629,7 @@ def ideal_of(generators) -> IdealData:
         # a closure stopped at a pure-a member shrinks the gcd; the pool
         # restarts from the pattern, gcd(pool), palindromic up to sign
         if pure is not None:
-            pool = [tuple(alpha), _pattern_of_pure_a(pure)]
+            pool = [key, pure]
             continue
 
         # J lies in the ideal when the extension absorbs p(1,3) and p(2,3)
@@ -644,11 +654,7 @@ def aut_invariance_check(ideal: IdealData, sample_bound: int) -> dict:
         sample = minimal_ideal_basis(field, pat.alpha, sample_bound)
         sample += [pat.from_vector(row) for row in pat.extension_rows]
     auts = [el.tau(0), el.tau(1), el.theta(1), el.theta(-3)]
-    failures = []
-    checked = 0
-    for x in sample:
-        for aut in auts:
-            checked += 1
-            if not ideal.contains(el.apply(aut, x)):
-                failures.append((repr(aut), repr(x)))  # pragma: no cover
-    return {"checked": checked, "failures": failures, "ok": not failures}
+    failures = [(repr(aut), repr(x)) for x in sample for aut in auts
+                if not ideal.contains(el.apply(aut, x))]
+    return {"checked": len(sample) * len(auts), "failures": failures,
+            "ok": not failures}

@@ -1,13 +1,16 @@
 """Tiny exact linear algebra over a Field.
 
 Values are raw field values, as in every container of coefficients:
-ints in ``range(p)`` over F_p, ``Fraction``s over Q (``p == 0``).
+ints in ``range(p)`` over F_p, ``Fraction``s over Q (``p == 0``), except
+in an integral ``Rref`` over Q, whose rows are integer numerators.
 ``Rref`` rows are sparse ``{column: value}`` dicts without zero values;
 the vectors and matrices of ``vec_scale``, ``mat_vec`` and ``kernel_basis``
 are dense lists and list-of-lists.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .elements import _add_scaled
 from .fields import Field
@@ -27,6 +30,21 @@ def mat_vec(m: Mat, v: Vec, field: Field) -> Vec:
     return [a % p for a in out] if p else out
 
 
+def _eliminate(u: dict, row: dict, piv: int, p: int, integral: bool) -> dict:
+    """u with column piv cleared by a multiple of row, which has the value
+    top at piv: u - u[piv] / top * row, or for integral rows that times an
+    integer, divided by the gcd of its entries.  May consume u."""
+    c, top = u[piv], row[piv]
+    if top != 1:  # integral: scale u so that the multiple is whole
+        g = gcd(c, top)
+        c, u = c // g, {i: a * (top // g) for i, a in u.items()}
+    _add_scaled(u, -c, row.items(), p)
+    if integral and u:
+        g = gcd(*u.values())
+        u = {i: a // g for i, a in u.items()}
+    return u
+
+
 class Rref:
     """A row-reduced spanning set of sparse rows with incremental insertion.
 
@@ -34,22 +52,24 @@ class Rref:
     of nonzero raw values, in the order the rows were inserted.  The rows
     are in reduced row echelon form: the pivot of a row is its lowest
     column and holds 1, and no other row holds that column.
+
+    An ``integral`` one over Q takes integer vectors and keeps each row as
+    its unit row scaled to coprime integers, which is as unique for a span;
+    its ``residue`` is a nonzero integer multiple of the residue.
     """
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, integral: bool = False):
         self.p = p
+        self.integral = integral and not p
         self.rows: dict[int, dict] = {}
 
     def residue(self, v: dict) -> dict:
         """v reduced against the rows, as a new dict; empty exactly when v
         is in the span."""
-        out, rows = dict(v), self.rows
-        # a row is zero at every other pivot, so v's value at a pivot is
-        # the multiple of that row to subtract, whatever the order
-        for piv, c in v.items():
-            row = rows.get(piv)
-            if row is not None:
-                _add_scaled(out, -c, row.items(), self.p)
+        out = dict(v)
+        # a row is zero at every other pivot, so one pass over them suffices
+        for piv in [i for i in v if i in self.rows]:
+            out = _eliminate(out, self.rows[piv], piv, self.p, self.integral)
         return out
 
     def insert(self, v: dict) -> bool:
@@ -58,13 +78,16 @@ class Rref:
         if not v:
             return False
         p, piv = self.p, min(v)
-        inv = pow(v[piv], -1, p) if p else 1 / v[piv]
-        v = {i: a * inv % p if p else a * inv for i, a in v.items()}
+        if self.integral:
+            g = gcd(*v.values()) if v[piv] > 0 else -gcd(*v.values())
+            v = {i: a // g for i, a in v.items()}
+        else:
+            inv = pow(v[piv], -1, p) if p else 1 / v[piv]
+            v = {i: a * inv % p if p else a * inv for i, a in v.items()}
         # back-substitute into the rows that hold the new pivot column
-        for row in self.rows.values():
-            c = row.get(piv)
-            if c is not None:
-                _add_scaled(row, -c, v.items(), p)
+        for key, row in self.rows.items():
+            if piv in row:
+                self.rows[key] = _eliminate(row, v, piv, p, self.integral)
         self.rows[piv] = v
         return True
 
@@ -79,14 +102,11 @@ def kernel_basis(m: Mat, field: Field) -> list[Vec]:
     for row in m:
         rr.insert({j: a for j, a in enumerate(row) if a})
     basis = []
-    for j in range(ncols):
-        if j in rr.rows:
-            continue
+    for j in (j for j in range(ncols) if j not in rr.rows):
         v = [field.zero.value] * ncols
         v[j] = field.one.value
         for piv, row in rr.rows.items():
-            c = row.get(j)
-            if c is not None:
-                v[piv] = p - c if p else -c
+            if j in row:
+                v[piv] = p - row[j] if p else -row[j]
         basis.append(v)
     return basis

@@ -55,7 +55,7 @@ class FiniteAlgebra:
             raise QuotientError(
                 "an ideal inside the radical has infinite codimension; "
                 "pass j_relative=True for the quotient inside the radical")
-        if source_ideal.kind == "pattern" and j_relative:
+        if source_ideal.kind in ("pattern", "full") and j_relative:
             raise QuotientError("j_relative only applies to radical ideals")
 
         if source_ideal.kind == "full":
@@ -67,9 +67,9 @@ class FiniteAlgebra:
             self.basis_keys = [key for i, key in enumerate(pat.survivor_keys)
                                if i not in pat.extension.rows]
         self._key_pos = {k: i for i, k in enumerate(self.basis_keys)}
-        self.basis_labels = [el.Element._of(field, {k: field.one.value})
-                             for k in self.basis_keys]
         one = field.one.value
+        self.basis_labels = [el.Element._of(field, {k: one})
+                             for k in self.basis_keys]
         self._images = {k: {t: one} for t, k in enumerate(self.basis_keys)}
 
     @cached_property
@@ -195,18 +195,11 @@ def eigenspace_split(q: FiniteAlgebra, axis_vec):
     Returns a dict eigenvalue -> list of basis vectors, or None when the
     eigenspaces do not exhaust the quotient.
     """
-    field = q.field
     ad = q.adjoint(axis_vec)
-    spaces = {}
-    total = 0
-    for v in fusion_law(field).values:
-        basis = linalg.kernel_basis(_shift(ad, v), field)
-        if basis:
-            spaces[v] = basis
-            total += len(basis)
-    if total != q.dim:
-        return None
-    return spaces
+    spaces = {v: linalg.kernel_basis(_shift(ad, v), q.field)
+              for v in fusion_law(q.field).values}
+    spaces = {v: basis for v, basis in spaces.items() if basis}
+    return spaces if sum(map(len, spaces.values())) == q.dim else None
 
 
 def _shift(m, c: Scalar):
@@ -268,35 +261,30 @@ def axis_orbit(q: FiniteAlgebra, cutoff: int) -> AxisOrbit:
 # -- the standard families -------------------------------------------------------
 
 
-def family_Hn(n: int, field: Field, collapse_j: bool = False) -> FiniteAlgebra:
-    """Quotient by (a_0 - a_n), optionally also collapsing the p-span."""
+def _family(field: Field, n: int, terms, collapse_j: bool) -> FiniteAlgebra:
+    """The quotient by the element of ``terms``, and by p(1,3) if asked."""
     if n < 1:
         raise IdealArgumentError("n must be >= 1")
-    gens = [el.axis(field, 0) - el.axis(field, n)]
-    if collapse_j:
-        gens.append(el.pi(field, 1, 3))
+    gens = [el.from_terms(field, terms)] + [el.pi(field, 1, 3)] * collapse_j
     return FiniteAlgebra(ideal_of(gens))
+
+
+def family_Hn(n: int, field: Field, collapse_j: bool = False) -> FiniteAlgebra:
+    """Quotient by (a_0 - a_n), optionally also collapsing the p-span."""
+    return _family(field, n, [(("a", 0), 1), (("a", n), -1)], collapse_j)
 
 
 def family_Ln(n: int, field: Field, collapse_j: bool = False) -> FiniteAlgebra:
     """Quotient by (2a_0 - a_{-n} - a_n), optionally collapsing the p-span."""
-    if n < 1:
-        raise IdealArgumentError("n must be >= 1")
-    two = field.scalar(2)
-    gens = [el.axis(field, 0).scale(two)
-            - el.axis(field, -n) - el.axis(field, n)]
-    if collapse_j:
-        gens.append(el.pi(field, 1, 3))
-    return FiniteAlgebra(ideal_of(gens))
+    return _family(field, n, [(("a", 0), 2), (("a", -n), -1), (("a", n), -1)],
+                   collapse_j)
 
 
 # -- the exceptional-quotient verification suite ----------------------------------
 
 
 def _case(name: str, ok: bool, **details) -> dict:
-    out = {"case": name, "ok": bool(ok)}
-    out.update(details)
-    return out
+    return {"case": name, "ok": bool(ok), **details}
 
 
 def small_quotient_suite(field: Field) -> list[dict]:
@@ -336,11 +324,9 @@ def small_quotient_suite(field: Field) -> list[dict]:
             field.scalar(3, 4)) - s(1)
         qv = qd.to_vector(qelt)
         lam = field.scalar(3, 4) * (dd + field.scalar(3))
-        good = qd.dim == 4
-        for e in _identity(field, qd.dim):
-            if qd.mult(qv, e) != linalg.vec_scale(e, lam.value, p):
-                good = False
-        deltas_ok.append(good)
+        deltas_ok.append(qd.dim == 4 and all(
+            qd.mult(qv, e) == linalg.vec_scale(e, lam.value, p)
+            for e in _identity(field, qd.dim)))
     report.append(_case("deformation_scalar_action", all(deltas_ok),
                         deltas=[-3, -1, 0, 1, 2]))
 
@@ -400,13 +386,10 @@ def small_quotient_suite(field: Field) -> list[dict]:
     w1 = el.w_elem(field, 1)
     r = a(-2) - a(-1) * 2 + a(1) * 2 - a(2)
     prod_ok = w1 * v1 == r.scale(field.scalar(-3, 2))
-    dims = []
-    for gen, want in (
-            (a(-1) - a(0) - a(1) + a(2) + s(2) * 2, 5),
-            (gen_m3, 4),
-            ((a(-1) - a(0) - a(1) + a(2)) * 3 - s(2) * 2, 5)):
-        qq = FiniteAlgebra(ideal_of([gen]))
-        dims.append((qq.dim, want))
+    dims = [(FiniteAlgebra(ideal_of([gen])).dim, want) for gen, want in (
+        (a(-1) - a(0) - a(1) + a(2) + s(2) * 2, 5),
+        (gen_m3, 4),
+        ((a(-1) - a(0) - a(1) + a(2)) * 3 - s(2) * 2, 5))]
     report.append(_case("remaining_small_quotients",
                         prod_ok and all(got == want for got, want in dims),
                         dims=[got for got, _ in dims]))

@@ -158,11 +158,49 @@ def test_verify_rejects_imax_below_one(capsys, imax):
 
 @pytest.mark.parametrize("argv", [
     ["--char", "7", "--gen", "p(1,3)"],
-    ["--char", "0", "--gen", "a(0)-a(3)", "--j-relative"]])
+    ["--char", "0", "--gen", "a(0)-a(3)", "--j-relative"],
+    ["--char", "7", "--gen", "a(0)", "--j-relative"]])
 def test_quotient_j_relative_mismatch_names_the_flag(capsys, argv):
     code, out, err = run(capsys, "quotient", *argv)
     _one_line_usage_error(code, out, err)
     assert "--j-relative" in err and "j_relative" not in err
+
+
+def _parse_outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of parsing argv."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    import argparse
+
+    import highwater.cli as cli
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser()
+    one_build = len(built)
+    built.clear()
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert run(capsys, "weight", "--char", "5", "a(0)")[:2] == (0, "1\n")
+    assert len(built) == one_build and built.count("highwater") == 1
+    # usage errors and help read as from a fresh parser
+    fresh = cli.build_parser().parse_args
+    for argv in (["--help"], ["quotient", "--help"], ["mul"], [],
+                 ["weight", "--char", "x", "a(0)"],
+                 ["verify", "nope", "--char", "5"]):
+        for _ in range(2):
+            assert (_parse_outcome(capsys, main, argv)
+                    == _parse_outcome(capsys, fresh, argv))
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -260,6 +261,74 @@ def test_untracked_gcd_matches_laurent_gcd(F):
         k = rng.randint(0, len(pats) - 1)
         head = untracked(pats[:k + 1])
         assert untracked([list(head)] + pats[k + 1:]) == want
+
+
+def _q(*coeffs):
+    return [Fraction(c) for c in coeffs]
+
+
+# (patterns over Q, their monic Laurent gcd), on what the draws above miss
+_GCD_EDGES = [
+    # non-integral: (t - 1)(t/2 + 1/3) and (t - 1)(2t/5 - 3/4)
+    ([_q("-1/3", "-1/6", "1/2"), _q("3/4", "-23/20", "2/5")], _q(-1, 1)),
+    # scalar multiples of one pattern, one of them negative and non-integral
+    ([_q(2, -1, 0, 1), _q(-6, 3, 0, -3), _q("10/7", "-5/7", 0, "5/7")],
+     _q(2, -1, 0, 1)),
+    # negative leads: -(t + 1)(t - 2) and (t + 1)(1 - 3t); -(1 + t^3)
+    ([_q(2, 1, -1), _q(1, -2, -3)], _q(1, 1)),
+    ([_q(-1, 0, 0, -1)], _q(1, 0, 0, 1)),
+    # low-order zeros, which are units: t^2 (t - 1) and -t (t - 1)(t + 1)
+    ([_q(0, 0, -1, 1), _q(0, 1, 0, -1)], _q(-1, 1)),
+    ([_q(0, 3, 6)], _q("1/2", 1)),
+    # coprime: a negative constant and integral patterns with large content
+    ([_q(-4, 0, 8), _q(6, 9)], _q(1)),
+]
+
+
+@pytest.mark.parametrize("pats, want", _GCD_EDGES)
+def test_integer_euclid_on_edge_patterns(pats, want):
+    import highwater.ideals as ideals
+    poly, comb = ideals._gcd(0, [(pat, None) for pat in pats])
+    assert comb is None and list(poly) == want
+    assert all(type(c) is Fraction for c in poly)
+    g, combo = laurent_gcd(QQ, pats)
+    assert [c.value for c in g] == want
+    # the tracked combination reproduces the gcd as a Laurent combination
+    acc = {}
+    for idx, shift, c in combo:
+        for i, a in enumerate(pats[idx]):
+            acc[i + shift] = acc.get(i + shift, 0) + c.value * a
+    low = min(i for i, a in acc.items() if a)
+    assert [acc.get(i, 0) for i in range(low, low + len(want))] == want
+    assert not any(a for i, a in acc.items() if i >= low + len(want))
+
+
+def test_scalar_multiples_reach_gcd_once(monkeypatch):
+    import highwater.ideals as ideals
+    rounds = []
+    gcd_ = ideals._gcd
+
+    def spy(p, items):
+        rounds.append([pat for pat, _ in items])
+        return gcd_(p, items)
+
+    monkeypatch.setattr(ideals, "_gcd", spy)
+    g = A(QQ, 0) - A(QQ, 1).scale(QQ.scalar(3, 2)) + A(QQ, 3) \
+        - A(QQ, 4).scale(QQ.scalar(1, 2)) + S(QQ, 2)
+    want = ideal_of([g]).summary()
+    single = list(rounds)
+    assert single
+    rounds.clear()
+    multiples = [g, g.scale(QQ.scalar(-3)), g.scale(QQ.scalar(5, 7))]
+    assert ideal_of(multiples).summary() == want
+    assert rounds == single
+    # a(0) - a(4) has pattern t^4 - 1, whose reversal is its negative
+    ideal_of([A(QQ, 0) - A(QQ, 4)])
+    assert rounds[-1] == [(1, 0, 0, -1, -1, 0, 0, 1), (-1, 0, 0, 0, 1)]
+    # each pattern is integral, of content 1, with a positive lead
+    for pat in (pat for pats in rounds for pat in pats):
+        assert all(type(c) is int for c in pat)
+        assert gcd(*pat) == 1 and pat[-1] > 0
 
 
 # -- pattern ideals -----------------------------------------------------------------
@@ -587,6 +656,15 @@ def test_pattern_must_be_a_monic_palindrome(F, alpha):
         PatternIdeal(F, [F.from_fraction(c) for c in alpha])
     with pytest.raises(IdealArgumentError):
         minimal_ideal_basis(F, alpha, 6)
+
+
+def test_pattern_ideal_rejects_scalars_of_another_field():
+    # GF(7)'s -1 has value 6 and Q's is a Fraction: neither is a GF(5) value
+    for minus_one in (GF(7).scalar(-1), QQ.scalar(-1)):
+        with pytest.raises(FieldMismatchError):
+            PatternIdeal(GF(5), [minus_one, GF(5).one])
+    with pytest.raises(TypeError):
+        PatternIdeal(GF(5), [4, GF(5).one])
 
 
 def test_bad_arguments():

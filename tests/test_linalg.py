@@ -8,6 +8,7 @@ they are.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -169,3 +170,34 @@ def test_kernel_basis_takes_and_returns_raw_values(field):
     one, two = field.one.value, field.scalar(2).value
     minus_two = (-field.scalar(2)).value
     assert kernel_basis([[one, minus_two]], field) == [[two, one]]
+
+
+def test_integral_rows_are_scaled_unit_rows():
+    # over Q an integral Rref takes integer rows and keeps each as its unit
+    # row times a positive integer, with coprime entries, making no Fraction
+    for rng, width, rows in _cases(QQ, 71):
+        ints = [[int(a * 12) for a in row] for row in rows]
+        unit, rr = Rref(0), Rref(0, integral=True)
+        for row in ints:
+            assert (unit.insert(_sparse([Fraction(a) for a in row]))
+                    == rr.insert(_sparse(row)))
+        assert rr.rows.keys() == unit.rows.keys()
+        for piv, row in rr.rows.items():
+            assert all(type(a) is int for a in row.values())
+            assert row[piv] > 0 and gcd(*row.values()) == 1
+            assert {j: Fraction(a, row[piv]) for j, a in row.items()} \
+                == unit.rows[piv]
+        member = [0] * width
+        for row in ints:
+            c = rng.randint(-5, 5)
+            member = [a + c * b for a, b in zip(member, row)]
+        assert rr.residue(_sparse(member)) == {}
+        # a residue is an integer multiple of the unit one
+        v = _sparse([rng.randint(-9, 9) for _ in range(width)])
+        res, want = rr.residue(v), unit.residue(
+            {j: Fraction(a) for j, a in v.items()})
+        assert res.keys() == want.keys()
+        assert all(type(a) is int for a in res.values())
+        if res:
+            j = min(res)
+            assert all(a * want[j] == want[i] * res[j] for i, a in res.items())

@@ -33,6 +33,13 @@ def test_quotient_rejects_infinite_codimension(field):
     assert q.dim == in_j.j_ideal.codim_in_j
 
 
+def test_j_relative_quotient_rejects_ideals_outside_j(field):
+    # a pattern ideal and the full ideal have no quotient inside J
+    for gens in ([A(field, 0) - A(field, 3)], [A(field, 0)]):
+        with pytest.raises(QuotientError, match="j_relative"):
+            FiniteAlgebra(ideal_of(gens), j_relative=True)
+
+
 def test_j_relative_quotient_rejects_keys_outside_j(field):
     q = FiniteAlgebra(ideal_of([el.pi(field, 1, 12)]), j_relative=True)
     memo = dict(q._images)

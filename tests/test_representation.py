@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 import highwater.elements as el
 from highwater import GF, QQ
 from highwater.eigen import eigendecompose, miyamoto_map
-from highwater.ideals import ideal_of
+import highwater.ideals as ideals
+from highwater.ideals import ideal_of, laurent_gcd
 from highwater.linalg import kernel_basis
 from highwater.quotients import FiniteAlgebra
 from highwater.textio import format_element, parse_element
@@ -107,3 +108,44 @@ def test_quotient_structure_tables_store_raw_values():
             assert all(all(e) for e in entries)
             assert all(_is_raw(field, c) and c
                        for b in q.basis_labels for c in b.terms.values())
+
+
+def _assert_fractions(values):
+    values = list(values)
+    assert all(type(c) is Fraction for c in values), values
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_q_ideal_engine_leaves_only_fractions(data):
+    # the Q path works on integers inside; what leaves it is a Fraction,
+    # never an int or a float (1 / v on an int pivot would be a float)
+    terms = data.draw(_TERMS)
+    g = el.from_terms(QQ, terms + [(("a", 5), 1)])
+    g = g - el.axis(QQ, 9).scale(g.weight())
+    x = el.from_terms(QQ, data.draw(_TERMS))
+    a = lambda i: el.axis(QQ, i)
+    for gens in ([g], [g, g * a(1)], [a(0) - a(6) + el.pi(QQ, 1, 3)],
+                 [el.v_elem(QQ, 1)]):
+        ideal = ideal_of(gens)
+        assert_element(ideal.reduce(x))
+        if ideal.kind == "pattern":
+            pat = ideal.pattern
+            _assert_fractions(c.value for c in pat.alpha)
+            for row in pat.extension_rows:
+                _assert_fractions(row.values())
+            assert_element(pat.reduce(x))
+        elif ideal.kind == "in_j":
+            _assert_fractions(c.value for c in ideal.j_ideal.coeffs)
+
+
+def test_q_gcd_returns_fractions():
+    pats = [(2, -1, 0, 1), (-6, 3, 0, -3), (Fraction(1, 2), 0, 0, 0, 1),
+            (0, 4, -4)]
+    for k in range(1, len(pats) + 1):
+        poly, comb = ideals._gcd(0, [(pat, None) for pat in pats[:k]])
+        assert comb is None
+        _assert_fractions(poly)
+        coeffs, combo = laurent_gcd(QQ, pats[:k])
+        _assert_fractions(c.value for c in coeffs)
+        _assert_fractions(c.value for _, _, c in combo)

@@ -94,11 +94,12 @@ def fold(x: el.Element, k: int) -> tuple[el.Element, el.Element]:
 
 
 def pure_a_extract(g: el.Element) -> el.Element:
-    """A nonzero pure-a element of the ideal generated by g (g not in J)."""
+    """A nonzero pure-a element of the ideal generated by g (g not in J):
+    g itself when g is pure-a, so that its pattern is g's own."""
     if g.is_zero() or g.in_p_span():
         raise IdealArgumentError("pure_a_extract needs a generator outside J")
     if not g.part("a").is_zero():
-        return g - el.apply(el.theta(3), g)
+        return g if g.is_pure_a() else g - el.apply(el.theta(3), g)
     # no a-part: average the p-part away, then multiply into the a-part
     s_triple = g + el.apply(el.theta(1), g) + el.apply(el.theta(2), g)
     y = el.axis(g.field, 0) * s_triple
@@ -160,11 +161,11 @@ def _euclid(a: tuple, b: tuple, p: int) -> tuple:
 
 
 def _gcd(p: int, items: list) -> tuple:
-    """The monic gcd ``(poly, comb)`` of nonzero ``(poly, comb)`` pairs;
-    over Q its values are ``Fraction``s, made once at the end."""
-    acc = _primitive(items[0][0], p, items[0][1])
-    for poly, comb in items[1:]:
-        acc = _euclid(acc, _primitive(poly, p, comb), p)
+    """The monic gcd ``(poly, comb)`` of pairs in ``_primitive`` form; over
+    Q its values are ``Fraction``s, made once at the end."""
+    acc = items[0]
+    for item in items[1:]:
+        acc = _euclid(acc, item, p)
     if p:
         return acc
     (poly, comb), lead = acc, acc[0][-1]
@@ -184,17 +185,17 @@ def laurent_gcd(field: Field, patterns):
     the combination rational; ``ideal_of``, which needs only the gcd, runs
     it untracked.
     """
-    items = []
+    items, p = [], field.characteristic
     for idx, pat in enumerate(patterns):
         # a Scalar must be of this field: _check raises, or returns None
         poly = _poly_trim([field.zero._check(c) or c.value
                            if isinstance(c, Scalar) else field._value(c)
                            for c in pat])
         if poly:
-            items.append((poly, {(idx, 0): field.one.value}))
+            items.append(_primitive(poly, p, {(idx, 0): field.one.value}))
     if not items:
         raise IdealArgumentError("all patterns are zero")
-    poly, comb = _gcd(field.characteristic, items)
+    poly, comb = _gcd(p, items)
     coeffs = tuple(Scalar(field, c) for c in poly)
     combo = sorted((idx, sh, Scalar(field, c))
                    for (idx, sh), c in comb.items())
@@ -312,30 +313,28 @@ class PatternIdeal:
                 den, c = den * s, c * s
             el._add_scaled(rem, -(c * t % p if p else c // t), family, p)
 
-        # a-part into the window [0, D-1]
-        while idx := [k[1] for k in rem if k[0] == "a"]:
-            m = max(idx)
-            if m >= d:
-                k, c, t = m - d, rem[("a", m)], top
-            else:
-                k = min(idx)
-                if k >= 0:
-                    break
-                c, t = rem[("a", k)], bottom
-            cancel(c, t, [(("a", j + k), a) for j, a in support])
-        # p-part: collapse entirely when J is inside
-        if self.contains_j:
-            for key in [k for k in rem if k[0] == "p"]:
-                del rem[key]
-        # s- and p-parts below the survivor cutoff, top level first; the
-        # fold with top level n has top L * (alpha_{D-2n} + 1): L above
-        # D/2, and 2L at D/2, reducible only when epsilon = alpha_0 = 1
-        for kind, step in (("s", 1), ("p", 3)):
-            while tops := [(k[-1], k) for k in rem
-                           if k[0] == kind and k[-1] >= self._cutoff]:
-                n, key = max(tops)
-                cancel(rem[key], top2 if 2 * n == d else top,
-                       _fold(support, d - n, step, key[:-1], p))
+        if self.contains_j:  # J is inside: the p-part goes
+            rem = {k: c for k, c in rem.items() if k[0] != "p"}
+        hi = {}  # the top level in rem of a, s, p(1, .) and p(2, .)
+        for k in rem:
+            hi[k[:-1]] = max(k[-1], hi.get(k[:-1], k[-1]))
+        lo = min((k[1] for k in rem if k[0] == "a"), default=0)
+        # a-part into the window [0, D-1]: levels D and up, top first, by
+        # shifts reaching no lower than 0; then levels below 0, lowest first
+        for m in range(hi.get(("a",), 0), d - 1, -1):
+            if c := rem.get(("a", m)):
+                cancel(c, top, [(("a", j + m - d), a) for j, a in support])
+        for m in range(lo, 0):
+            if c := rem.get(("a", m)):
+                cancel(c, bottom, [(("a", j + m), a) for j, a in support])
+        # s-, p(1, .)- and p(2, .)-parts, top level first, down to the
+        # survivor cutoff; the fold with top level n has top L * (alpha_{D-2n}
+        # + 1): L above D/2, and 2L at D/2, reducible only when epsilon = 1
+        for head, step in ((("s",), 1), (("p", 1), 3), (("p", 2), 3)):
+            for n in range(hi.get(head, 0), self._cutoff - 1, -step):
+                if c := rem.get(head + (n,)):
+                    cancel(c, top2 if 2 * n == d else top,
+                           _fold(support, d - n, step, head, p))
         return rem if p or integral else {
             k: Fraction(c, den) for k, c in rem.items()}
 
@@ -451,7 +450,7 @@ def j_ideal_of(generators) -> JIdeal:
     if any(not g.in_p_span() for g in items):
         raise IdealArgumentError("generators must lie in J")
     field = items[0].field
-    polys = []
+    polys, p = [], field.characteristic
     for g in items:
         items[0]._check(g)
         for r in (1, 2):
@@ -463,8 +462,8 @@ def j_ideal_of(generators) -> JIdeal:
                 for i, v in c.items():
                     poly[m - i] = poly[m + i] = v
                 poly[m] = field._value(-2 * sum(c.values()))
-                polys.append((poly, None))
-    beta, _ = _gcd(field.characteristic, polys)
+                polys.append(_primitive(poly, p))
+    beta, _ = _gcd(p, polys)
     k = len(beta) // 2
     return JIdeal(field, [Scalar(field, c) for c in beta[k + 1:]])
 
@@ -589,14 +588,15 @@ def _closure(ideal: PatternIdeal, seeds: list[el.Element]) -> tuple | None:
 
 def ideal_of(generators) -> IdealData:
     """Classify the two-sided ideal generated by finitely many elements."""
+    generators = list(generators)
     if not generators:
         raise IdealArgumentError("need at least one element")
+    for g in generators:  # an Element, over the field of the first
+        el.Element._check(generators[0], g)
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return IdealData(generators[0].field, "zero")
     field = gens[0].field
-    for g in gens[1:]:
-        gens[0]._check(g)
     if all(g.in_p_span() for g in gens):
         return IdealData(field, "in_j", j_ideal=j_ideal_of(gens))
 
@@ -623,8 +623,7 @@ def ideal_of(generators) -> IdealData:
             return IdealData(field, "full")
 
         ideal = PatternIdeal(field, [Scalar(field, c) for c in alpha])
-        pure = _closure(ideal,
-                        list(gens) + [el.apply(el.tau(1), g) for g in gens])
+        pure = _closure(ideal, gens + [el.apply(el.tau(1), g) for g in gens])
 
         # a closure stopped at a pure-a member shrinks the gcd; the pool
         # restarts from the pattern, gcd(pool), palindromic up to sign

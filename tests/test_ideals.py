@@ -248,7 +248,7 @@ def test_untracked_gcd_matches_laurent_gcd(F):
 
     def untracked(pats):
         raw = [tuple(c.value for c in pat) for pat in pats]
-        poly, comb = ideals._gcd(p, [(pat, None) for pat in raw])
+        poly, comb = ideals._gcd(p, [ideals._primitive(pat, p) for pat in raw])
         assert comb is None
         return tuple(F.from_fraction(c) for c in poly)
 
@@ -288,7 +288,7 @@ _GCD_EDGES = [
 @pytest.mark.parametrize("pats, want", _GCD_EDGES)
 def test_integer_euclid_on_edge_patterns(pats, want):
     import highwater.ideals as ideals
-    poly, comb = ideals._gcd(0, [(pat, None) for pat in pats])
+    poly, comb = ideals._gcd(0, [ideals._primitive(pat, 0) for pat in pats])
     assert comb is None and list(poly) == want
     assert all(type(c) is Fraction for c in poly)
     g, combo = laurent_gcd(QQ, pats)
@@ -322,13 +322,63 @@ def test_scalar_multiples_reach_gcd_once(monkeypatch):
     multiples = [g, g.scale(QQ.scalar(-3)), g.scale(QQ.scalar(5, 7))]
     assert ideal_of(multiples).summary() == want
     assert rounds == single
-    # a(0) - a(4) has pattern t^4 - 1, whose reversal is its negative
+    # a(0) - a(4) has pattern t^4 - 1, whose reversal is its negative; the
+    # generator is its own pure-a member, so one round finds the pattern
+    start = len(rounds)
     ideal_of([A(QQ, 0) - A(QQ, 4)])
-    assert rounds[-1] == [(1, 0, 0, -1, -1, 0, 0, 1), (-1, 0, 0, 0, 1)]
+    assert rounds[start:] == [[(-1, 0, 0, 0, 1), (1, 0, 0, -1, -1, 0, 0, 1)]]
     # each pattern is integral, of content 1, with a positive lead
     for pat in (pat for pats in rounds for pat in pats):
-        assert all(type(c) is int for c in pat)
-        assert gcd(*pat) == 1 and pat[-1] > 0
+        _assert_primitive(0, pat)
+
+
+def _assert_primitive(p, pat):
+    """pat is in ``_primitive`` form: an int tuple at exponent 0, monic
+    over F_p, of content 1 with a positive lead over Q."""
+    assert type(pat) is tuple and all(type(c) is int for c in pat)
+    assert pat[0] and (pat[-1] == 1 if p else pat[-1] > 0 and gcd(*pat) == 1)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(7)], ids=str)
+def test_gcd_inputs_are_primitive(monkeypatch, F):
+    # laurent_gcd and j_ideal_of hand _gcd canonical patterns, as ideal_of
+    # does (test_ideal_of_passes_each_pattern_once)
+    import highwater.ideals as ideals
+    pats = []
+    gcd_ = ideals._gcd
+
+    def spy(p, items):
+        pats.extend(pat for pat, _ in items)
+        return gcd_(p, items)
+
+    monkeypatch.setattr(ideals, "_gcd", spy)
+    j_ideal_of([P(F, 1, 6).scale(F.scalar(3)) - P(F, 2, 9), P(F, 1, 12)])
+    laurent_gcd(F, [[0, F.scalar(3), F.scalar(-3)], [2, 1, -1, -2]])
+    assert len(pats) == 5
+    for pat in pats:
+        _assert_primitive(F.characteristic, pat)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(7)], ids=str)
+def test_pure_a_family_generator_closes_once(monkeypatch, F):
+    # a pure-a generator is its own pure-a member: the first gcd round
+    # already has its pattern, and its closure finds no finer one
+    import highwater.ideals as ideals
+    from highwater.quotients import family_Hn, family_Ln
+    calls = []
+    closure = ideals._closure
+
+    def spy(ideal, seeds):
+        calls.append(ideal.degree)
+        return closure(ideal, seeds)
+
+    monkeypatch.setattr(ideals, "_closure", spy)
+    for family in (family_Hn, family_Ln):
+        for n in range(1, 15):
+            for collapse_j in (False, True):
+                calls.clear()
+                family(n, F, collapse_j=collapse_j)
+                assert len(calls) == 1, (family.__name__, n, collapse_j)
 
 
 # -- pattern ideals -----------------------------------------------------------------
@@ -474,15 +524,18 @@ def test_reduce_core_matches_division_oracle(F, alpha, eps, n):
         for t, b in enumerate(_power_mod(alpha, n + i)):
             back[t] += Fraction(c) * b
     assert [F._value(c) for c in back] == [one] + [F.zero.value] * (d - 1)
-    # s- and p-inputs, with denominators over Q; s(D/2) alone has an odd
-    # numerator at the top 2L of its fold when epsilon = 1
+    # s-, p- and a-inputs on both sides of the window, with denominators
+    # over Q, so that one call runs both a-walks and all three fold walks;
+    # s(D/2) alone has an odd numerator at the top 2L of its fold when
+    # epsilon = 1
     m = 3 * (n // 3 + 1)
     members = minimal_ideal_basis(F, pat.alpha, m) \
         if n <= 3 * d + 1 else None
     for x in (el.from_terms(F, [(("s", n), Fraction(1, 3)),
                                 (("s", n - 1), -2), (("p", 1, m), 1),
                                 (("p", 2, m), Fraction(5, 2)),
-                                (("a", n), Fraction(2, 9))]),
+                                (("a", n), Fraction(2, 9)),
+                                (("a", -n), Fraction(-3, 4))]),
               el.sigma(F, d // 2)):
         r = el.Element._of(F, pat.reduce_core(dict(x.terms)))
         assert pat.reduce_core(dict(r.terms)) == r.terms
@@ -546,7 +599,9 @@ def test_ideal_of_passes_each_pattern_once(monkeypatch):
     gcd = ideals._gcd
 
     def spy(p, items):
-        rounds.append([tuple(pat) for pat, _ in items])
+        for pat, _ in items:
+            _assert_primitive(p, pat)
+        rounds.append([pat for pat, _ in items])
         return gcd(p, items)
 
     # ideal_of runs the untracked gcd, not laurent_gcd
@@ -665,6 +720,17 @@ def test_pattern_ideal_rejects_scalars_of_another_field():
             PatternIdeal(GF(5), [minus_one, GF(5).one])
     with pytest.raises(TypeError):
         PatternIdeal(GF(5), [4, GF(5).one])
+
+
+def test_ideal_of_reads_generators_once():
+    # any iterable of Elements will do; anything else is a TypeError
+    assert ideal_of(iter([el.zero(QQ)])).kind == "zero"
+    assert ideal_of(A(QQ, i) for i in (0, 4)).kind == "full"
+    with pytest.raises(IdealArgumentError):
+        ideal_of(iter([]))
+    for gens in ([A(QQ, 0), 3], [3, A(QQ, 0)], [el.zero(QQ), "a(0)"]):
+        with pytest.raises(TypeError):
+            ideal_of(gens)
 
 
 def test_bad_arguments():

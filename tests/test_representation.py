@@ -143,7 +143,8 @@ def test_q_gcd_returns_fractions():
     pats = [(2, -1, 0, 1), (-6, 3, 0, -3), (Fraction(1, 2), 0, 0, 0, 1),
             (0, 4, -4)]
     for k in range(1, len(pats) + 1):
-        poly, comb = ideals._gcd(0, [(pat, None) for pat in pats[:k]])
+        poly, comb = ideals._gcd(0, [ideals._primitive(pat, 0)
+                                     for pat in pats[:k]])
         assert comb is None
         _assert_fractions(poly)
         coeffs, combo = laurent_gcd(QQ, pats[:k])

@@ -6,15 +6,15 @@ The algebra has basis
     s(j)   for j >= 1
     p(r,k) for r in {1, 2} and k a positive multiple of 3
 
-over any field of characteristic other than 2 and 3.  Out-of-range
-subscripts normalise to zero: s(0) = 0 and p(r,k) = 0 unless 3 | k and
-k > 0.  The residue-0 symbol p(0,k) is eagerly rewritten as
--p(1,k) - p(2,k), and the difference symbols
+over any field of characteristic other than 2 and 3.  One normaliser,
+``_normal``, maps a raw key to the stored keys it stands for, for every
+constructor and the product table: s(-j) = s(j), s(0) = 0, p(r,-k) =
+p(r,k), p(r,k) = 0 unless 3 | k != 0, p(0,k) = -p(1,k) - p(2,k), and the
+raw key ("z", r, k) is the difference symbol
 
-    zed(r,k) = p(r+1,k) - p(r-1,k)    (residues mod 3)
+    zed(r,k) = p(r+1,k) - p(r-1,k)    (residues mod 3),
 
-are expanded into p's on construction, so stored P keys always carry
-residue 1 or 2.
+so stored P keys carry residue 1 or 2.  Other kinds raise ``ValueError``.
 
 Elements are sparse dicts mapping basis keys to nonzero raw field
 values: ints in ``range(p)`` over F_p, ``Fraction``s over Q.  A ``Scalar``
@@ -39,6 +39,10 @@ Key = tuple
 # ordering rank for printing / canonical term order
 _KIND_RANK = {"a": 0, "s": 1, "p": 2}
 
+# the coefficients of p(1,k) and p(2,k) in p(r,k) and zed(r,k), by r mod 3
+_RESIDUES = {"p": ((-1, -1), (1, 0), (0, 1)),
+             "z": ((1, -1), (1, 2), (-2, -1))}
+
 
 def key_sort(key: Key):
     if key[0] == "p":
@@ -52,13 +56,10 @@ class Element:
     __slots__ = ("field", "terms")
 
     def __init__(self, field: Field, terms: dict[Key, Scalar] | None = None):
-        raw = {}
-        for key, c in (terms or {}).items():
-            field.zero._check(c)  # a Scalar of this field, or raise
-            if c:
-                raw[key] = c.value
+        check = field.zero._check  # a Scalar of this field, or raise
+        raw = [(key, check(c) or c.value) for key, c in (terms or {}).items()]
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", raw)
+        object.__setattr__(self, "terms", _sum(field.characteristic, raw))
 
     @classmethod
     def _of(cls, field: Field, terms: dict) -> "Element":
@@ -224,6 +225,50 @@ def _add_scaled(acc: dict, c, terms, p: int) -> None:
             acc.pop(k, None)
 
 
+def _normal(key: Key) -> tuple[tuple[Key, int], ...]:
+    """The stored keys that a raw key stands for, as (key, n) pairs: the
+    raw key is the sum of n * key over them."""
+    kind = key[0]
+    if kind == "a":
+        return ((key, 1),)
+    if kind == "s":
+        j = key[1]
+        return ((key, 1),) if j > 0 else ((("s", -j), 1),) if j else ()
+    row = _RESIDUES.get(kind)
+    if row is None:
+        raise ValueError(f"unknown basis key {key!r}")
+    k = key[2]
+    if not k or k % 3:
+        return ()
+    k, (n1, n2) = abs(k), row[key[1] % 3]
+    if not n2:
+        return ((("p", 1, k), n1),)
+    if not n1:
+        return ((("p", 2, k), n2),)
+    return ((("p", 1, k), n1), (("p", 2, k), n2))
+
+
+def _sum(p: int, pairs) -> dict:
+    """The stored terms of a sum of (raw key, raw value) pairs, as
+    ``_add_scaled`` leaves them."""
+    acc = {}
+    get = acc.get
+    for key, c in pairs:
+        if c:
+            for k, n in _normal(key):
+                b = c if n == 1 else -c if n == -1 else n * c
+                v = get(k)
+                if v is not None:
+                    b += v
+                if p:
+                    b %= p
+                if b:
+                    acc[k] = b
+                else:
+                    del acc[k]
+    return acc
+
+
 # -- constructors -----------------------------------------------------------
 
 def zero(field: Field) -> Element:
@@ -237,64 +282,23 @@ def axis(field: Field, i: int) -> Element:
 
 def sigma(field: Field, j: int) -> Element:
     """The symbol s(j); s(0) = 0 and s(-j) = s(j)."""
-    j = abs(j)
-    if j == 0:
-        return Element._of(field, {})
-    return Element._of(field, {("s", j): field.one.value})
-
-
-def _p_terms(r: int, k: int) -> tuple[tuple[Key, int], ...]:
-    """Normalised integer support of p(r,k); p(0,k) -> -p(1,k)-p(2,k)."""
-    k = abs(k)
-    if k == 0 or k % 3:
-        return ()
-    r %= 3
-    if r == 0:
-        return ((("p", 1, k), -1), (("p", 2, k), -1))
-    return ((("p", r, k), 1),)
+    return from_terms(field, ((("s", j), 1),))
 
 
 def pi(field: Field, r: int, k: int) -> Element:
     """The symbol p(r,k), with residue and subscript normalisation."""
-    return from_terms(field, _p_terms(r, k))
-
-
-def _z_terms(r: int, k: int) -> tuple[tuple[Key, int], ...]:
-    """zed(r,k) = p(r+1,k) - p(r-1,k) expanded onto residue-1/2 keys."""
-    k = abs(k)
-    if k == 0 or k % 3:
-        return ()
-    r %= 3
-    if r == 0:   # p1 - p2
-        return ((("p", 1, k), 1), (("p", 2, k), -1))
-    if r == 1:   # p2 - p0 = p1 + 2 p2
-        return ((("p", 1, k), 1), (("p", 2, k), 2))
-    # r == 2:    # p0 - p1 = -2 p1 - p2
-    return ((("p", 1, k), -2), (("p", 2, k), -1))
+    return from_terms(field, ((("p", r, k), 1),))
 
 
 def zed(field: Field, r: int, k: int) -> Element:
     """The difference symbol zed(r,k) = p(r+1,k) - p(r-1,k)."""
-    return from_terms(field, _z_terms(r, k))
+    return from_terms(field, ((("z", r, k), 1),))
 
 
 def from_terms(field: Field, terms) -> Element:
-    """Sum of (key, rational) pairs, normalising degenerate keys."""
-    p = field.characteristic
-    acc = {}
-    for key, q in terms:
-        c = field._value(q)
-        if not c:
-            continue
-        if key[0] == "a":
-            pairs = ((key, 1),)
-        elif key[0] == "s":
-            pairs = ((("s", abs(key[1])), 1),) if key[1] else ()
-        else:
-            pairs = _p_terms(key[1], key[2])
-        for k, n in pairs:
-            _add_scaled(acc, n, ((k, c),), p)
-    return Element._of(field, acc)
+    """Sum of (raw key, rational) pairs."""
+    return Element._of(field, _sum(field.characteristic, [
+        (key, field._value(q)) for key, q in terms]))
 
 
 # -- the product ------------------------------------------------------------
@@ -341,68 +345,29 @@ def _products(left: dict, right: dict, p: int) -> dict:
     return {k: n for k, n in acc.items() if n} if 0 in acc.values() else acc
 
 
-def _merge(acc: dict, key: Key, n: int):
-    _add_scaled(acc, n, ((key, 1),), 0)
-
-
-def _add_sigma(acc, j, n):
-    j = abs(j)
-    if j:
-        _merge(acc, ("s", j), n)
-
-
-def _add_p(acc, r, k, n):
-    _add_scaled(acc, n, _p_terms(r, k), 0)
-
-
-def _add_z(acc, r, k, n):
-    _add_scaled(acc, n, _z_terms(r, k), 0)
-
-
 @lru_cache(maxsize=None)
 def _key_product(k1: Key, k2: Key) -> tuple[tuple[Key, int], ...]:
     """k1 * k2 as (key, n) pairs: the sum of n/8 * key."""
     if key_sort(k1) > key_sort(k2):
         k1, k2 = k2, k1
-    acc: dict[Key, int] = {}
-    if k1[0] == "a" and k2[0] == "a":
-        i, j = k1[1], k2[1]
-        d = abs(i - j)
-        _merge(acc, ("a", i), 4)
-        _merge(acc, ("a", j), 4)
-        _add_sigma(acc, d, 8)
-        _add_z(acc, i, d, 8)
-    elif k1[0] == "a" and k2[0] == "s":
-        i, j = k1[1], k2[1]
-        _merge(acc, ("a", i), -6)
-        _merge(acc, ("a", i - j), 3)
-        _merge(acc, ("a", i + j), 3)
-        _add_sigma(acc, j, 12)
-        _add_z(acc, i, j, -8)
-    elif k1[0] == "a" and k2[0] == "p":
-        i, (r, k) = k1[1], (k2[1], k2[2])
-        _add_p(acc, r, k, 12)
-        _add_p(acc, -(i + r), k, -8)
-    elif k1[0] == "s" and k2[0] == "s":
-        j, l = k1[1], k2[1]
-        _add_sigma(acc, j, 6)
-        _add_sigma(acc, l, 6)
-        _add_sigma(acc, abs(j - l), -3)
-        _add_sigma(acc, j + l, -3)
-    elif k1[0] == "s" and k2[0] == "p":
-        j, (r, k) = k1[1], (k2[1], k2[2])
-        _add_p(acc, r, j, 6)
-        _add_p(acc, r, k, 6)
-        _add_p(acc, r, abs(j - k), -3)
-        _add_p(acc, r, j + k, -3)
+    kinds, i, j = k1[0] + k2[0], k1[1], k2[1]  # first subscripts: r of a p-key
+    if kinds == "aa":
+        terms = ((k1, 4), (k2, 4), (("s", i - j), 8), (("z", i, i - j), 8))
+    elif kinds == "as":
+        terms = ((k1, -6), (("a", i - j), 3), (("a", i + j), 3), (k2, 12),
+                 (("z", i, j), -8))
+    elif kinds == "ap":
+        terms = ((k2, 12), (("p", -(i + j), k2[2]), -8))
+    elif kinds == "ss":
+        terms = ((k1, 6), (k2, 6), (("s", i - j), -3), (("s", i + j), -3))
+    elif kinds == "sp":
+        terms = ((("p", j, i), 6), (k2, 6), (("p", j, i - k2[2]), -3),
+                 (("p", j, i + k2[2]), -3))
     else:  # p * p
-        (r, h), (t, k) = (k1[1], k1[2]), (k2[1], k2[2])
-        u = -(r + t)
-        _add_z(acc, u, h, 2)
-        _add_z(acc, u, k, 2)
-        _add_z(acc, u, abs(h - k), -1)
-        _add_z(acc, u, h + k, -1)
-    return tuple(acc.items())
+        h, k, u = k1[2], k2[2], -(i + j)
+        terms = ((("z", u, h), 2), (("z", u, k), 2), (("z", u, h - k), -1),
+                 (("z", u, h + k), -1))
+    return tuple(_sum(0, terms).items())
 
 
 # -- automorphisms ------------------------------------------------------------
@@ -484,7 +449,7 @@ def apply(aut: Automorphism, x: Element) -> Element:
             out[key] = c
         else:
             # a reflection negates; only images of residue 0 can collide
-            for pk, q in _p_terms(sign * key[1] + shift, key[2]):
+            for pk, q in _normal(("p", sign * key[1] + shift, key[2])):
                 _add_scaled(out, sign * q, ((pk, c),), p)  # q is +1 or -1
     return Element._of(x.field, out)
 

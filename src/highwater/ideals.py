@@ -568,7 +568,7 @@ def _closure(ideal: PatternIdeal, seeds: list[el.Element]) -> tuple | None:
         for terms in products:  # reduce_core leaves only survivor keys
             terms = ideal.reduce_core(terms, integral=True)
             w = {col[k]: c for k, c in terms.items()}
-            if rr.insert(w):
+            if w and rr.insert(w):
                 piv = next(reversed(rr.rows))  # the new row's, added last
                 if piv >= n - d:  # columns n - d, ..., n - 1 are a(0), ...
                     row = rr.rows[piv]
@@ -623,7 +623,14 @@ def ideal_of(generators) -> IdealData:
             return IdealData(field, "full")
 
         ideal = PatternIdeal(field, [Scalar(field, c) for c in alpha])
-        pure = _closure(ideal, gens + [el.apply(el.tau(1), g) for g in gens])
+        seeds = gens + [el.apply(el.tau(1), g) for g in gens]
+        # t^3 - 1 | alpha: the p-folds of every residue class are members;
+        # reduce_core cancels D's, and two of each other class reach the rest
+        d = ideal.degree
+        if not ideal.contains_j and any((d - j) % 3 for j, _ in ideal._support):
+            seeds += [ideal.p_family(c, r) for c in (d - 1, d - 2, d - 4, d - 5)
+                      for r in (1, 2)]
+        pure = _closure(ideal, seeds)
 
         # a closure stopped at a pure-a member shrinks the gcd; the pool
         # restarts from the pattern, gcd(pool), palindromic up to sign

@@ -188,12 +188,12 @@ def parse_element(field: Field, text: str, warn=None) -> el.Element:
 
 # -- JSON forms ---------------------------------------------------------------
 
+# the subscript fields of each kind of JSON key
+_JSON_KEYS = {"a": ("i",), "s": ("j",), "p": ("r", "k")}
+
+
 def key_to_json(key) -> dict:
-    if key[0] == "p":
-        return {"kind": "p", "r": key[1], "k": key[2]}
-    if key[0] == "s":
-        return {"kind": "s", "j": key[1]}
-    return {"kind": "a", "i": key[1]}
+    return {"kind": key[0], **dict(zip(_JSON_KEYS[key[0]], key[1:]))}
 
 
 def element_to_json(x: el.Element) -> dict:
@@ -207,14 +207,12 @@ def element_to_json(x: el.Element) -> dict:
 def element_from_json(field: Field, data: dict) -> el.Element:
     if data.get("characteristic") != field.characteristic:
         raise ParseError("characteristic mismatch in serialised element")
-    terms = []
-    for t in data["terms"]:
-        k = t["key"]
-        if k["kind"] == "a":
-            key = ("a", int(k["i"]))
-        elif k["kind"] == "s":
-            key = ("s", int(k["j"]))
-        else:
-            key = ("p", int(k["r"]), int(k["k"]))
-        terms.append((key, Fraction(t["coeff"])))
-    return el.from_terms(field, terms)
+    try:
+        terms = []
+        for t in data["terms"]:
+            k = t["key"]
+            key = (k["kind"],) + tuple(int(k[n]) for n in _JSON_KEYS[k["kind"]])
+            terms.append((key, Fraction(t["coeff"])))
+        return el.from_terms(field, terms)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"malformed serialised element: {e!r}") from None

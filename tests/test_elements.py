@@ -41,6 +41,19 @@ def test_negative_s_index_mirrors():
     assert el.sigma(QQ, -2) == el.sigma(QQ, 2)
 
 
+@pytest.mark.parametrize("F", [QQ, GF(7)], ids=["char0", "char7"])
+def test_constructor_normalises_keys(F):
+    one = F.one
+    assert el.Element(F, {("p", 0, 3): one}) == el.pi(F, 0, 3)
+    assert el.Element(F, {("s", -2): one}) == el.sigma(F, 2)
+    assert el.Element(F, {("s", 0): one}).is_zero()
+    assert el.Element(F, {("p", 1, 4): one}).is_zero()
+    with pytest.raises(ValueError):
+        el.Element(F, {("q", 1): one})
+    with pytest.raises(ValueError):
+        el.from_terms(F, [(("q", 1), 1)])
+
+
 # -- frozen product values --------------------------------------------------------
 
 def test_product_axis_axis():

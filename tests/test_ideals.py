@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -661,16 +662,47 @@ def test_extension_example(field):
     assert not membership(v1, ideal_of([gen]))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
 def test_pattern_divisible_by_t3_minus_1_is_closed():
     # g's pattern has every residue sum zero, so t^3 - 1 divides it; the
-    # classification trusts the span of its families to be closed, but
-    # g * a(1) leaves -p(1,3) - 2p(2,3) behind
+    # span of its families is not closed: g * a(1) leaves -p(1,3) - 2p(2,3)
+    # behind unless the closure is seeded with the other residue classes
     g = el.from_terms(QQ, [(("a", i), c) for i, c in
                            ((0, -1), (1, 1), (2, 1), (4, -1), (5, -1), (6, 1))])
     ideal = ideal_of([g])
     assert ideal.contains(g * A(QQ, 1))
     assert ideal.summary() == ideal_of([g, g * A(QQ, 1)]).summary()
+
+
+def _zero_sum_palindromes(p, max_degree):
+    """Every monic pattern over F_p of degree <= max_degree that is
+    palindromic up to sign and has sum 0."""
+    for d in range(1, max_degree + 1):
+        for eps in (1, -1):
+            free = list(range(1, (d + 1) // 2))
+            if d % 2 == 0 and eps == 1:
+                free.append(d // 2)  # the middle; 0 when eps is -1
+            for vals in product(range(p), repeat=len(free)):
+                a = [eps % p] + [0] * (d - 1) + [1]
+                for i, v in zip(free, vals):
+                    a[i], a[d - i] = v, eps * v % p
+                if not sum(a) % p:
+                    yield a
+
+
+@pytest.mark.parametrize("p, max_degree, count", [(5, 8, 499), (7, 6, 179)])
+def test_zero_sum_pattern_sweep(p, max_degree, count):
+    # every pattern ideal (g) of this class contains g * a(j), and adding
+    # g * a(1) as a generator changes nothing
+    F, seen = GF(p), 0
+    for a in _zero_sum_palindromes(p, max_degree):
+        g = el.from_terms(F, [(("a", i), c) for i, c in enumerate(a) if c])
+        ideal = ideal_of([g])
+        assert ideal.kind == "pattern"
+        for j in range(-3, len(a) + 3):
+            assert ideal.contains(g * A(F, j)), (a, j)
+        assert ideal.summary() == ideal_of([g, g * A(F, 1)]).summary(), a
+        seen += 1
+    assert seen == count
 
 
 def test_membership_of_generators_and_products(field):

@@ -66,3 +66,22 @@ def test_json_characteristic_mismatch():
     data = element_to_json(el.axis(QQ, 0))
     with pytest.raises(ParseError):
         element_from_json(GF(5), data)
+
+
+def test_json_malformed_raises_parse_error():
+    def data(*terms):
+        return {"characteristic": 0, "terms": [
+            {"key": key, "coeff": coeff} for key, coeff in terms]}
+
+    for bad in (data(({"kind": "q", "i": 0}, "1")),
+                data(({"kind": "a"}, "1")),
+                data(({"kind": "a", "i": 0}, "x")),
+                data(({"kind": "p", "r": 1, "k": "y"}, "1")),
+                {"characteristic": 0, "terms": [{"coeff": "1"}]},
+                {"characteristic": 0}):
+        with pytest.raises(ParseError):
+            element_from_json(QQ, bad)
+    undefined = data(({"kind": "a", "i": 0}, "1/5"))  # 1/5 is not in GF(5)
+    undefined["characteristic"] = 5
+    with pytest.raises(ParseError):
+        element_from_json(GF(5), undefined)

@@ -56,10 +56,12 @@ class Element:
     __slots__ = ("field", "terms")
 
     def __init__(self, field: Field, terms: dict[Key, Scalar] | None = None):
-        check = field.zero._check  # a Scalar of this field, or raise
-        raw = [(key, check(c) or c.value) for key, c in (terms or {}).items()]
+        terms = terms or {}
+        for c in terms.values():
+            field.zero._check(c)  # a Scalar of this field, or raise
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", _sum(field.characteristic, raw))
+        object.__setattr__(self, "terms", _sum(
+            field.characteristic, ((k, c.value) for k, c in terms.items())))
 
     @classmethod
     def _of(cls, field: Field, terms: dict) -> "Element":
@@ -252,20 +254,11 @@ def _sum(p: int, pairs) -> dict:
     """The stored terms of a sum of (raw key, raw value) pairs, as
     ``_add_scaled`` leaves them."""
     acc = {}
-    get = acc.get
     for key, c in pairs:
+        terms = _normal(key)  # an unknown kind raises, whatever c is
         if c:
-            for k, n in _normal(key):
-                b = c if n == 1 else -c if n == -1 else n * c
-                v = get(k)
-                if v is not None:
-                    b += v
-                if p:
-                    b %= p
-                if b:
-                    acc[k] = b
-                else:
-                    del acc[k]
+            for k, n in terms:
+                _add_scaled(acc, n, ((k, c),), p)
     return acc
 
 

@@ -205,14 +205,17 @@ def element_to_json(x: el.Element) -> dict:
 
 
 def element_from_json(field: Field, data: dict) -> el.Element:
-    if data.get("characteristic") != field.characteristic:
-        raise ParseError("characteristic mismatch in serialised element")
     try:
+        if data.get("characteristic") != field.characteristic:
+            raise ParseError("characteristic mismatch in serialised element")
         terms = []
         for t in data["terms"]:
             k = t["key"]
             key = (k["kind"],) + tuple(int(k[n]) for n in _JSON_KEYS[k["kind"]])
             terms.append((key, Fraction(t["coeff"])))
         return el.from_terms(field, terms)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+    except ParseError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as e:
         raise ParseError(f"malformed serialised element: {e!r}") from None

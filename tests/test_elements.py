@@ -51,6 +51,8 @@ def test_constructor_normalises_keys(F):
     with pytest.raises(ValueError):
         el.Element(F, {("q", 1): one})
     with pytest.raises(ValueError):
+        el.Element(F, {("q", 1): F.zero})
+    with pytest.raises(ValueError):
         el.from_terms(F, [(("q", 1), 1)])
 
 

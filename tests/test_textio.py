@@ -78,7 +78,9 @@ def test_json_malformed_raises_parse_error():
                 data(({"kind": "a", "i": 0}, "x")),
                 data(({"kind": "p", "r": 1, "k": "y"}, "1")),
                 {"characteristic": 0, "terms": [{"coeff": "1"}]},
-                {"characteristic": 0}):
+                {"characteristic": 0},
+                [],
+                "x"):
         with pytest.raises(ParseError):
             element_from_json(QQ, bad)
     undefined = data(({"kind": "a", "i": 0}, "1/5"))  # 1/5 is not in GF(5)

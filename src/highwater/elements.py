@@ -134,13 +134,6 @@ class Element:
         _add_scaled(out, c, self.terms.items(), self.field.characteristic)
         return Element._of(self.field, out)
 
-    def __rmul__(self, c):
-        if isinstance(c, Scalar):
-            return self.scale(c)
-        if isinstance(c, (int, Fraction)):
-            return self.scale(self.field.from_fraction(c))
-        return NotImplemented
-
     # -- multiplication ----------------------------------------------------
 
     def __mul__(self, other):
@@ -162,6 +155,8 @@ class Element:
         den = 8 * dx * dy
         return Element._of(field, {k: Fraction(n, den) for k, n
                                    in _products(left, right, 0).items()})
+
+    __rmul__ = __mul__  # c * x for an int, Fraction or Scalar c
 
     # -- structural queries --------------------------------------------------
 

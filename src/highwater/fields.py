@@ -104,8 +104,8 @@ class Field:
         p = self.characteristic
         if type(q) is int:
             return q % p if p else Fraction(q)
-        if isinstance(q, float):
-            raise TypeError("floats are not exact; pass an int or Fraction")
+        if isinstance(q, (float, Scalar)):  # floats are not exact
+            raise TypeError(f"pass an int or Fraction, not {type(q).__name__}")
         if p == 0:
             return q if type(q) is Fraction else Fraction(q)
         q = Fraction(q)
@@ -135,27 +135,27 @@ class Scalar:
             raise FieldMismatchError(
                 f"cannot combine scalars over {self.field} and {other.field}")
 
+    def _wrap(self, v) -> "Scalar":
+        """The scalar of this field with the raw value v, reduced mod p."""
+        p = self.field.characteristic
+        return Scalar(self.field, v % p if p else v)
+
     def __add__(self, other):
         self._check(other)
-        v = self.value + other.value
-        p = self.field.characteristic
-        return Scalar(self.field, v if p == 0 else v % p)
+        return self._wrap(self.value + other.value)
 
     def __sub__(self, other):
         self._check(other)
-        v = self.value - other.value
-        p = self.field.characteristic
-        return Scalar(self.field, v if p == 0 else v % p)
+        return self._wrap(self.value - other.value)
 
     def __mul__(self, other):
+        if not isinstance(other, Scalar):  # an Element scales by __rmul__
+            return NotImplemented
         self._check(other)
-        v = self.value * other.value
-        p = self.field.characteristic
-        return Scalar(self.field, v if p == 0 else v % p)
+        return self._wrap(self.value * other.value)
 
     def __neg__(self):
-        p = self.field.characteristic
-        return Scalar(self.field, -self.value if p == 0 else -self.value % p)
+        return self._wrap(-self.value)
 
     def inverse(self) -> "Scalar":
         if not self:

@@ -18,6 +18,12 @@ Every proper nonzero ideal I falls into one of two families:
   extension subspace living in the survivor coordinates of the
   quotient.
 
+``ideal_of`` pools one pure-a member per generator outside J and closes
+the generators (plus p-folds when t^3 - 1 divides the pattern) under
+multiplication.  Every seed is a generator or in the minimal ideal of a
+pattern drawn from the pool and its tau(0) images; tau(0), the Miyamoto
+map of a(0), keeps every ideal, so the result is the generated ideal.
+
 Both families find their generator by the same Euclid (``_gcd``) and
 reduce by the same fold sweep (``PatternIdeal.reduce_core``).  Reduction
 against an ideal produces a canonical representative of the coset with
@@ -600,18 +606,14 @@ def ideal_of(generators) -> IdealData:
     if all(g.in_p_span() for g in gens):
         return IdealData(field, "in_j", j_ideal=j_ideal_of(gens))
 
-    # harvest pure-a members: generators and their products with the
-    # first two axes; their patterns and, for palindromic symmetry, the
-    # reversed ones, which are up to sign the patterns of the reflections
-    pool = []
-    p = field.characteristic
-    a0, a1 = el.axis(field, 0), el.axis(field, 1)
+    # the pool: the pattern of one pure-a member per generator outside J;
+    # the gcd also takes each reversal, the tau(0) image's up to sign
+    pool, p = [], field.characteristic
     for g in gens:
-        for h in (g, g * a0, g * a1):
-            if not (h.is_zero() or h.in_p_span()):
-                c = {k[1]: v for k, v in pure_a_extract(h).terms.items()}
-                pool.append(_primitive([c.get(i, 0) for i in range(
-                    min(c), max(c) + 1)], p)[0])
+        if not g.in_p_span():
+            c = {k[1]: v for k, v in pure_a_extract(g).terms.items()}
+            pool.append(_primitive([c.get(i, 0) for i in range(
+                min(c), max(c) + 1)], p)[0])
 
     while True:
         # patterns are keyed up to scalars, and multiples leave the gcd as
@@ -622,11 +624,12 @@ def ideal_of(generators) -> IdealData:
         if sum(key) % p if p else sum(key):
             return IdealData(field, "full")
 
+        # seeds: the generators and, when t^3 - 1 | alpha, two p-folds of
+        # each residue class but D's, which reduce_core cancels; two reach
+        # the rest.  Folds of alpha, from gens and tau(0), a Miyamoto map,
+        # lie in (gens), so every seed does and the closure is (gens)
         ideal = PatternIdeal(field, [Scalar(field, c) for c in alpha])
-        seeds = gens + [el.apply(el.tau(1), g) for g in gens]
-        # t^3 - 1 | alpha: the p-folds of every residue class are members;
-        # reduce_core cancels D's, and two of each other class reach the rest
-        d = ideal.degree
+        d, seeds = ideal.degree, list(gens)
         if not ideal.contains_j and any((d - j) % 3 for j, _ in ideal._support):
             seeds += [ideal.p_family(c, r) for c in (d - 1, d - 2, d - 4, d - 5)
                       for r in (1, 2)]

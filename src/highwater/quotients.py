@@ -139,9 +139,9 @@ class FiniteAlgebra:
 
     def from_vector(self, vec) -> el.Element:
         """The canonical representative with the given coordinates."""
-        self._check(vec)
-        return el.Element._of(self.field, {
-            k: c for k, c in zip(self.basis_keys, vec) if c})
+        self._check(vec)  # ints and Fractions, reduced into the field
+        return el.Element._of(self.field, {k: v for k, c in zip(
+            self.basis_keys, vec) if (v := self.field._value(c))})
 
     def mult(self, u, v) -> list:
         """Product of two coordinate vectors via the structure constants."""

@@ -173,6 +173,38 @@ def test_scale_by_zero(field):
     assert A(field, 3).scale(field.zero).is_zero()
 
 
+@pytest.mark.parametrize("F", [QQ, GF(7)], ids=str)
+def test_scalar_multiples_commute(F):
+    x = A(F, -2) + S(F, 4).scale(F.scalar(3)) + P(F, 2, 6)
+    for c in (3, -5, Fraction(2, 3), F.scalar(3), F.scalar(-1, 4)):
+        assert c * x == x * c
+    assert F.scalar(3) * x == x.scale(F.scalar(3))
+    other = GF(5).scalar(3)
+    with pytest.raises(FieldMismatchError):
+        other * x
+    with pytest.raises(FieldMismatchError):
+        x * other
+    with pytest.raises(TypeError):
+        1.5 * x
+    with pytest.raises(TypeError):
+        F.scalar(1) + x
+
+
+def test_equal_elements_hash_alike(field):
+    x = A(field, 1) + S(field, 2)
+    y = S(field, 2) + A(field, 1)  # the other insertion order
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y, A(field, 1), A(field, 1) + S(field, 2)}) == 2
+
+
+def test_items_in_support_order(field):
+    x = P(field, 1, 3) + S(field, 2).scale(field.scalar(2)) + A(field, -1)
+    assert list(x.items()) == [(("a", -1), field.one),
+                               (("s", 2), field.scalar(2)),
+                               (("p", 1, 3), field.one)]
+    assert list(el.zero(field).items()) == []
+
+
 # -- the public constructor ----------------------------------------------------
 
 def test_constructor_drops_zero_coefficients(field):
@@ -267,6 +299,16 @@ def test_composition_law():
 
 def test_miyamoto_is_even_reflection():
     assert el.miyamoto(2) == el.tau(4)
+
+
+def test_automorphism_index_hash_and_repr():
+    assert el.tau(1).index(3) == -2 and el.theta(4).index(-1) == 3
+    assert el.miyamoto(2).index(5) == -1
+    assert hash(el.compose(el.tau(0), el.tau(1))) == hash(el.theta(1))
+    assert len({el.miyamoto(2), el.tau(4), el.theta(4)}) == 2
+    assert [repr(a) for a in (el.theta(-2), el.tau(4), el.tau(3),
+                              el.tau(-1), el.identity_aut())] == [
+        "theta(-2)", "tau(2)", "tau(3/2)", "tau(-1/2)", "theta(0)"]
 
 
 def test_automorphisms_multiplicative(field):

@@ -94,6 +94,32 @@ def test_division_by_zero():
 def test_cross_field_operations_rejected():
     with pytest.raises(FieldMismatchError):
         QQ.one + GF(5).one
+    with pytest.raises(FieldMismatchError):
+        GF(5).one * GF(7).one
+
+
+def test_product_with_a_non_scalar_is_left_to_the_other_operand():
+    # so that Scalar * Element reaches Element.__rmul__
+    assert QQ.one.__mul__(2) is NotImplemented
+    assert GF(5).one.__mul__(Fraction(1, 2)) is NotImplemented
+    with pytest.raises(TypeError):
+        QQ.one * 2
+    with pytest.raises(TypeError):
+        2 * GF(5).one
+
+
+def test_field_equality():
+    assert QQ == Field(0) and GF(7) == Field(7)
+    assert QQ != GF(5) and GF(5) != GF(7)
+    assert QQ != 0 and GF(5) != 5
+    assert hash(GF(7)) == hash(Field(7))
+
+
+def test_as_fraction():
+    assert QQ.scalar(-3, 4).as_fraction() == Fraction(-3, 4)
+    assert GF(7).scalar(-1).as_fraction() == 6
+    assert GF(11).scalar(1, 2).as_fraction() == 6
+    assert type(GF(7).one.as_fraction()) is Fraction
 
 
 def test_from_fraction():
@@ -109,6 +135,8 @@ def test_floats_rejected(F):
             F.from_fraction(q)
         with pytest.raises(TypeError):
             F.scalar(q)
+    with pytest.raises(TypeError, match="int or Fraction, not Scalar"):
+        F.from_fraction(F.one)
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))

@@ -13,6 +13,8 @@ from highwater.ideals import (IdealArgumentError, JIdeal, PatternIdeal,
                               membership, minimal_ideal_basis,
                               pure_a_extract)
 from highwater.linalg import Rref
+from highwater.quotients import FiniteAlgebra
+from highwater.textio import parse_element
 
 from conftest import random_element, random_scalar
 from oracle import j_tuple_by_refinement
@@ -63,6 +65,20 @@ def test_p13_generates_whole_p_span(field):
         for r in (1, 2):
             assert ideal.contains(P(field, r, k))
     assert whole.contains(ideal.generator())
+
+
+def test_j_ideal_equality_and_repr(field):
+    two = field.scalar(2)
+    ideal = JIdeal(field, (two, field.one))
+    # the tuple is made monic, so a multiple names the same ideal
+    assert ideal == JIdeal(field, (field.scalar(4), two))
+    assert ideal == j_canonicalize(ideal.generator())
+    assert ideal != JIdeal(field, (field.one, field.one))
+    assert ideal != ideal.generator()
+    assert repr(ideal) == "JIdeal(2, 1)"
+    assert repr(JIdeal(field, (field.one,))) == "JIdeal(1,)"
+    other = GF(13) if field is QQ else QQ
+    assert JIdeal(field, (field.one,)) != JIdeal(other, (other.one,))
 
 
 def test_j_ideal_of_multiple_generators(field):
@@ -327,7 +343,7 @@ def test_scalar_multiples_reach_gcd_once(monkeypatch):
     # generator is its own pure-a member, so one round finds the pattern
     start = len(rounds)
     ideal_of([A(QQ, 0) - A(QQ, 4)])
-    assert rounds[start:] == [[(-1, 0, 0, 0, 1), (1, 0, 0, -1, -1, 0, 0, 1)]]
+    assert rounds[start:] == [[(-1, 0, 0, 0, 1)]]
     # each pattern is integral, of content 1, with a positive lead
     for pat in (pat for pats in rounds for pat in pats):
         _assert_primitive(0, pat)
@@ -671,6 +687,59 @@ def test_pattern_divisible_by_t3_minus_1_is_closed():
     ideal = ideal_of([g])
     assert ideal.contains(g * A(QQ, 1))
     assert ideal.summary() == ideal_of([g, g * A(QQ, 1)]).summary()
+
+
+# two extension shapes that the golden files do not hold: a proper
+# extension of a degree-3 pattern ideal that contains J, and a degree-14
+# pattern whose extension is p(1,6) and p(2,6) while J is not inside
+EXTENSION_SHAPES = [
+    (5, ["a(-2) + a(1) + 3*a(2) + 2*s(6)"],
+     {"pattern": ["4", "3", "2", "1"], "epsilon": -1, "contains_j": True,
+      "extension_dim": 1, "quotient_dim": 3},
+     [{0: 1, 1: 3, 2: 1, 3: 2}]),
+    (7, ["6*p(2,6)", "2*s(5) + 5*s(7) + 3*p(2,6)"],
+     {"pattern": ["1", "0", "6"] + ["0"] * 9 + ["6", "0", "1"], "epsilon": 1,
+      "contains_j": False, "extension_dim": 2, "quotient_dim": 22},
+     [{22: 1}, {23: 1}]),
+]
+
+
+@pytest.mark.parametrize("p, gens, want, rows", EXTENSION_SHAPES,
+                         ids=["GF5", "GF7"])
+def test_extension_shapes(p, gens, want, rows):
+    F = GF(p)
+    gens = [parse_element(F, g) for g in gens]
+    ideal = ideal_of(gens)
+    assert ideal.summary() == dict(kind="pattern", characteristic=p, **want)
+    assert ideal.pattern.extension_rows == rows
+    assert FiniteAlgebra(ideal).dim == want["quotient_dim"]
+    # the ideal is tau(1)-invariant: the images add nothing
+    more = ideal_of(gens + [el.apply(el.tau(1), g) for g in gens])
+    assert more.summary() == ideal.summary()
+    assert more.pattern.extension_rows == rows
+    assert aut_invariance_check(ideal, 6)["ok"]
+
+
+def test_closure_is_seeded_with_the_generators(monkeypatch):
+    # the pool comes from the generators alone: no product, no tau(1); the
+    # closure starts from them, plus p-folds when t^3 - 1 divides a pattern
+    import highwater.ideals as ideals
+    applied, seeded, products = [], [], []
+    apply_, closure_, mul_ = el.apply, ideals._closure, el.Element.__mul__
+    monkeypatch.setattr(el, "apply",
+                        lambda aut, x: applied.append(aut) or apply_(aut, x))
+    monkeypatch.setattr(ideals, "_closure", lambda ideal, seeds: (
+        seeded.append(list(seeds)) or closure_(ideal, seeds)))
+    monkeypatch.setattr(el.Element, "__mul__",
+                        lambda x, y: products.append(y) or mul_(x, y))
+    for F in (QQ, GF(7)):
+        gens = [A(F, 0) - A(F, 2) + S(F, 1), A(F, 1) - A(F, 7) + P(F, 1, 3),
+                P(F, 2, 6)]
+        seeded.clear()
+        assert ideal_of(gens).kind == "pattern"
+        assert seeded and all(seeds[:3] == gens for seeds in seeded)
+        assert all(x.in_p_span() for seeds in seeded for x in seeds[3:])
+    assert el.tau(1) not in applied and not products
 
 
 def _zero_sum_palindromes(p, max_degree):

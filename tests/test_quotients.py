@@ -73,6 +73,24 @@ def test_coordinate_vectors_of_wrong_length_raise(field):
     assert q.mult(good, good) == good
 
 
+def test_from_vector_reduces_entries_into_the_field():
+    F = GF(5)
+    q = family_Hn(2, F)
+    assert q.from_vector([-1, 0, 0]) == q.from_vector([4, 0, 0])
+    assert q.from_vector([5, 0, 0]).is_zero()
+    assert q.from_vector([Fraction(1, 2), 0, 0]) == q.from_vector([3, 0, 0])
+    x = q.from_vector([-1, 7, 0])
+    assert all(type(c) is int and 0 < c < 5 for c in x.terms.values())
+    assert x * x == q.from_vector([4, 2, 0]) * q.from_vector([4, 2, 0])
+    assert q.weight([-1, 0, 0]) == q.weight([4, 0, 0]) == F.scalar(4)
+    for bad in ([F.one, F.zero, F.zero], [0.5, 0, 0]):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            q.from_vector(bad)
+    x = family_Hn(2, QQ).from_vector([2, Fraction(-1, 2), 0])
+    assert x.terms == {("a", 0): 2, ("a", 1): Fraction(-1, 2)}
+    assert all(type(c) is Fraction for c in x.terms.values())
+
+
 def test_small_quotient_basis():
     q = FiniteAlgebra(ideal_of([A(QQ, 0) - A(QQ, 2)]))
     assert q.dim == 3

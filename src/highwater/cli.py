@@ -29,13 +29,6 @@ class _UsageError(Exception):
     pass
 
 
-def _field(args) -> Field:
-    try:
-        return Field(args.char)
-    except BadCharacteristicError as e:
-        raise _UsageError(str(e))
-
-
 def _parse(field: Field, text: str) -> el.Element:
     warnings = []
     x = parse_element(field, text, warn=warnings.append)
@@ -61,7 +54,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_mul(args) -> int:
-    field = _field(args)
+    field = Field(args.char)
     z = _parse(field, args.x) * _parse(field, args.y)
     _emit(args, {"command": "mul", "characteristic": field.characteristic,
                  "result": element_to_json(z), "text": format_element(z)},
@@ -70,7 +63,7 @@ def _cmd_mul(args) -> int:
 
 
 def _cmd_weight(args) -> int:
-    field = _field(args)
+    field = Field(args.char)
     w = _parse(field, args.x).weight()
     _emit(args, {"command": "weight",
                  "characteristic": field.characteristic,
@@ -79,13 +72,12 @@ def _cmd_weight(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
-    field = _field(args)
+    field = Field(args.char)
     dec = eigendecompose(_parse(field, args.x), args.axis)
     comps = [{"eigenvalue": str(q), "element": element_to_json(c),
               "text": format_element(c)}
              for q, c in sorted(dec.components.items(),
-                                key=lambda t: str(t[0]))
-             if not c.is_zero()]
+                                key=lambda t: str(t[0]))]
     lines = [f"axis a({args.axis})"] + [
         f"  eigenvalue {c['eigenvalue']}: {c['text']}" for c in comps]
     if not dec.is_total:
@@ -97,7 +89,7 @@ def _cmd_eigen(args) -> int:
 
 
 def _cmd_ideal_classify(args) -> int:
-    field = _field(args)
+    field = Field(args.char)
     ideal = ideal_of(_parse_gens(field, args.gen))
     summary = ideal.summary()
     summary["command"] = "ideal_classify"
@@ -108,7 +100,7 @@ def _cmd_ideal_classify(args) -> int:
 
 
 def _cmd_ideal_member(args) -> int:
-    field = _field(args)
+    field = Field(args.char)
     ideal = ideal_of(_parse_gens(field, args.gen))
     x = _parse(field, args.elt)
     residue = ideal.reduce(x)
@@ -132,7 +124,7 @@ def _quotient_payload(q: FiniteAlgebra) -> dict:
 
 
 def _cmd_quotient(args) -> int:
-    field = _field(args)
+    field = Field(args.char)
     gens = _parse_gens(field, args.gen)
     if args.collapse_j:
         gens.append(el.pi(field, 1, 3))
@@ -142,10 +134,7 @@ def _cmd_quotient(args) -> int:
                           "codimension; pass --j-relative")
     if ideal.kind in ("pattern", "full") and args.j_relative:
         raise _UsageError("--j-relative only applies to radical ideals")
-    try:
-        q = FiniteAlgebra(ideal, j_relative=args.j_relative)
-    except QuotientError as e:
-        raise _UsageError(str(e))
+    q = FiniteAlgebra(ideal, j_relative=args.j_relative)
     payload = _quotient_payload(q)
     text = (f"dim {q.dim}; basis " +
             ", ".join(payload["basis_labels"])) if q.dim else "dim 0"
@@ -154,7 +143,7 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_families(args) -> int:
-    field = _field(args)
+    field = Field(args.char)
     if args.max_n < 1:
         raise _UsageError("--max-n must be at least 1")
     rows = []
@@ -185,7 +174,7 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
-    field = _field(args)
+    field = Field(args.char)
     if args.imax < 1:
         raise _UsageError("--imax must be at least 1")
     suite = args.suite
@@ -273,7 +262,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, ParseError, IdealArgumentError) as e:
+    except (_UsageError, ParseError, IdealArgumentError,
+            BadCharacteristicError, QuotientError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -187,14 +187,9 @@ def fusion_check(field: Field, i_max: int) -> dict:
 
 
 def miyamoto_map(x: el.Element, axis_index: int) -> el.Element:
-    """Image of x under the involution negating the 1/2-eigenspace."""
-    field = x.field
-    half = field.from_fraction(Fraction(1, 2))
-    dec = eigendecompose(x, axis_index)
-    out = el.zero(field)
-    for ev, cmp_elem in dec.components.items():
-        out = out + (-cmp_elem if ev == half else cmp_elem)
-    return out + dec.residual
+    """Image of x under the involution negating the 1/2-eigenspace: x is
+    the sum of its components and its residual, so the image is x - 2 x½."""
+    return x - 2 * eigendecompose(x, axis_index).component(Fraction(1, 2))
 
 
 def miyamoto_consistency(field: Field, axis_index: int,

@@ -224,12 +224,13 @@ def _add_scaled(acc: dict, c, terms, p: int) -> None:
 
 def _normal(key: Key) -> tuple[tuple[Key, int], ...]:
     """The stored keys that a raw key stands for, as (key, n) pairs: the
-    raw key is the sum of n * key over them."""
-    kind = key[0]
+    raw key is the sum of n * key over them.  Subscripts must be ints."""
+    kind, j = key[0], key[1]
+    if type(j) is not int or kind in _RESIDUES and type(key[2]) is not int:
+        raise TypeError(f"basis key {key!r} needs int subscripts")
     if kind == "a":
         return ((key, 1),)
     if kind == "s":
-        j = key[1]
         return ((key, 1),) if j > 0 else ((("s", -j), 1),) if j else ()
     row = _RESIDUES.get(kind)
     if row is None:
@@ -265,6 +266,8 @@ def zero(field: Field) -> Element:
 
 def axis(field: Field, i: int) -> Element:
     """The axis a(i)."""
+    if type(i) is not int:
+        raise TypeError(f"axis subscript {i!r} is not an int")
     return Element._of(field, {("a", i): field.one.value})
 
 
@@ -371,10 +374,12 @@ class Automorphism:
     __slots__ = ("sign", "shift")
 
     def __init__(self, sign: int, shift: int):
+        if type(sign) is not int or type(shift) is not int:
+            raise TypeError("sign and shift must be ints")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "shift", int(shift))
+        object.__setattr__(self, "shift", shift)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Automorphism is immutable")

@@ -23,6 +23,9 @@ the generators (plus p-folds when t^3 - 1 divides the pattern) under
 multiplication.  Every seed is a generator or in the minimal ideal of a
 pattern drawn from the pool and its tau(0) images; tau(0), the Miyamoto
 map of a(0), keeps every ideal, so the result is the generated ideal.
+A pool member is g itself or h - theta(3) h (``pure_a_extract``): theta(3)
+is the one map outside the Miyamoto group that ``ideal_of`` applies, and
+a test checks it against an extraction by theta(6) = tau(6) tau(0).
 
 Both families find their generator by the same Euclid (``_gcd``) and
 reduce by the same fold sweep (``PatternIdeal.reduce_core``).  Reduction
@@ -101,15 +104,14 @@ def fold(x: el.Element, k: int) -> tuple[el.Element, el.Element]:
 
 def pure_a_extract(g: el.Element) -> el.Element:
     """A nonzero pure-a element of the ideal generated by g (g not in J):
-    g itself when g is pure-a, so that its pattern is g's own."""
+    g when g is pure-a, else h - theta(3) h for h = g, or a(0) g when g has
+    no a-part; theta(3) fixes every s- and p-key."""
     if g.is_zero() or g.in_p_span():
         raise IdealArgumentError("pure_a_extract needs a generator outside J")
-    if not g.part("a").is_zero():
-        return g if g.is_pure_a() else g - el.apply(el.theta(3), g)
-    # no a-part: average the p-part away, then multiply into the a-part
-    s_triple = g + el.apply(el.theta(1), g) + el.apply(el.theta(2), g)
-    y = el.axis(g.field, 0) * s_triple
-    return y - el.apply(el.theta(3), y)
+    if g.is_pure_a():
+        return g
+    h = g if not g.part("a").is_zero() else el.axis(g.field, 0) * g
+    return h - el.apply(el.theta(3), h)
 
 
 # -- polynomial gcd with optional shift-combination tracking -------------------
@@ -384,6 +386,8 @@ class JIdeal:
 
     def __init__(self, field: Field, coeffs):
         coeffs = tuple(coeffs)
+        for c in coeffs:
+            field.zero._check(c)  # a Scalar of this field, or raise
         if not coeffs or not coeffs[-1]:
             raise IdealArgumentError("tuple must have a nonzero top entry")
         inv = coeffs[-1].inverse()  # monic
@@ -641,10 +645,9 @@ def ideal_of(generators) -> IdealData:
             pool = [key, pure]
             continue
 
-        # J lies in the ideal when the extension absorbs p(1,3) and p(2,3)
+        # J is inside when p(1,3) is: then so is tau(0) p(1,3) = -p(2,3)
         if not ideal.contains_j:
-            ideal.contains_j = all(
-                ideal.reduce(el.pi(field, r, 3)).is_zero() for r in (1, 2))
+            ideal.contains_j = ideal.reduce(el.pi(field, 1, 3)).is_zero()
         return IdealData(field, "pattern", pattern=ideal)
 
 

@@ -10,6 +10,12 @@ gcd.  The tests check it against ``j_tuple_by_refinement``, which works
 on elements alone: it symmetrises a generator by reflections into a
 pure-residue-1 member, and refines by the remainders of the generators
 against the multiples s(j) * g and their tau(0) images.
+
+``pure_a_extract`` takes the pure-a member h - theta(3) h, and theta(3) is
+the one map outside the Miyamoto group that ``ideal_of`` applies.  The
+tests check it against ``pure_a_by_miyamoto``, which takes h - theta(6) h
+for theta(6) = tau(6) tau(0): a composite of two Miyamoto involutions,
+which keep every ideal.
 """
 
 import highwater.elements as el
@@ -127,3 +133,14 @@ def j_tuple_by_refinement(generators):
                          for lev in range(3, _p_tail(g)[0] + 1, 3))
         items.append(g)
         g = _symmetrize(rem)
+
+
+def pure_a_by_miyamoto(g):
+    """A nonzero pure-a member of the ideal generated by g, for g outside
+    J: g itself when g is pure-a, else h - tau(6) tau(0) h for h = g, or
+    h = a(0) g when g has no a-part.  The translation by 6 fixes every s-
+    and p-key, so the difference is pure-a."""
+    if g.is_pure_a():
+        return g
+    h = g if not g.part("a").is_zero() else el.axis(g.field, 0) * g
+    return h - el.apply(el.miyamoto(3), el.apply(el.miyamoto(0), h))

@@ -228,3 +228,20 @@ def test_closed_stdout_exits_quietly_with_sigpipe_code(capsys, monkeypatch):
                  "3*s(3) - 7/3*s(4)", "--elt", "a(60) - s(41)"])
     assert code == 141
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mul", "--char", "4", "a(0)", "a(1)"],
+     "characteristic must be 0 or prime, got 4"),
+    (["families", "--char", "9", "--max-n", "0"],
+     "characteristic must be 0 or prime, got 9"),
+    (["verify", "fusion", "--char", "0", "--imax", "0"],
+     "--imax must be at least 1"),
+    (["quotient", "--char", "0", "--gen", "0"],
+     "quotient by the zero ideal is not finite"),
+    (["ideal", "classify", "--char", "0", "--gen", ";"],
+     "need at least one element"),
+], ids=["characteristic", "characteristic_first", "usage", "quotient",
+        "ideal"])
+def test_engine_errors_exit_2_with_their_message(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")

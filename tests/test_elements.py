@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import highwater.elements as el
 from highwater import GF, QQ
 from highwater.fields import Field, FieldMismatchError
+from highwater.ideals import ideal_of
 
 from conftest import FIELDS, random_element
 
@@ -383,3 +384,24 @@ def test_frobenius_associative_random(data):
     y = data.draw(_elem_st(F))
     z = data.draw(_elem_st(F))
     assert el.frobenius(x * y, z) == el.frobenius(x, y * z)
+
+
+# -- rejected input --------------------------------------------------------------
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: el.apply(el.tau(1.5), A(QQ, 0)), TypeError),
+    (lambda: el.theta("1"), TypeError),
+    (lambda: el.Automorphism(1.0, 0), TypeError),
+    (lambda: el.axis(QQ, 1.5) * A(QQ, 0), TypeError),
+    (lambda: ideal_of([el.from_terms(QQ, [(("a", 0), 1), (("a", 2.5), -1)])]),
+     TypeError),
+    (lambda: el.Element(QQ, {("s", 2.0): QQ.one}), TypeError),
+    (lambda: el.pi(QQ, 1, 3.0), TypeError),
+    (lambda: el.zed(QQ, 1.0, 3), TypeError),
+    (lambda: A(QQ, 0) + A(GF(5), 0), FieldMismatchError),
+    (lambda: el.Automorphism(2, 0), ValueError),
+], ids=["tau", "theta", "automorphism", "axis", "ideal_of", "constructor",
+        "pi", "zed", "fields", "sign"])
+def test_bad_input_raises(make, error):
+    with pytest.raises(error):
+        make()

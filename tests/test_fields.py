@@ -148,3 +148,9 @@ def test_field_axioms_sample(a, b, c):
         assert x * (y + z) == x * y + x * z
         if y:
             assert (x / y) * y == x
+
+
+@pytest.mark.parametrize("p", [0, 4], ids=repr)
+def test_gf_rejects_bad_characteristic(p):
+    with pytest.raises(BadCharacteristicError):
+        GF(p)

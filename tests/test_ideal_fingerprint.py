@@ -19,9 +19,11 @@ import random
 from fractions import Fraction
 
 import highwater.elements as el
-from highwater import GF, QQ
+from highwater import GF, QQ, ideals as ideals_module
 from highwater.ideals import ideal_of
 from highwater.quotients import FiniteAlgebra
+
+from oracle import pure_a_by_miyamoto
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "ideal_fingerprint.json"
 FIELDS = (QQ, GF(5), GF(7), GF(11), GF(13))
@@ -158,6 +160,36 @@ def test_pattern_quotient_keys_reduce_to_themselves():
                 assert pat.reduce(x).terms == {key: one}
                 checked += 1
     assert checked
+
+
+def test_ideals_match_miyamoto_extraction(monkeypatch):
+    # pure_a_extract applies theta(3), outside the Miyamoto group; taking
+    # theta(6) = tau(6) tau(0) instead gives the same ideals
+    engine, calls = ideals(), []
+
+    def extract(g):
+        calls.append(g.is_pure_a())
+        return pure_a_by_miyamoto(g)
+
+    monkeypatch.setattr(ideals_module, "pure_a_extract", extract)
+    for name, gens in sweep():
+        got, want = ideal_of(gens), engine[name]
+        assert got.summary() == want.summary(), name
+        if want.kind == "pattern":
+            assert (got.pattern.extension_rows
+                    == want.pattern.extension_rows), name
+    assert not all(calls)  # the translation ran
+
+
+def test_contains_j_iff_p23_reduces_to_zero():
+    # ideal_of reduces p(1,3) only: tau(0) sends it to -p(2,3)
+    seen = set()
+    for ideal in ideals().values():
+        if ideal.kind == "pattern":
+            p23 = el.pi(ideal.field, 2, 3)
+            seen.add(ideal.pattern.contains_j)
+            assert ideal.reduce(p23).is_zero() == ideal.pattern.contains_j
+    assert seen == {False, True}
 
 
 if __name__ == "__main__":

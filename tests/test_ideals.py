@@ -841,3 +841,19 @@ def test_bad_arguments():
         j_canonicalize(A(QQ, 0))  # not inside the p-span
     with pytest.raises(IdealArgumentError):
         PatternIdeal(QQ, (QQ.one,))
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: fold(S(QQ, 1), 0), IdealArgumentError),  # not pure-a
+    (lambda: fold(A(QQ, 0), 0), IdealArgumentError),  # weight 1
+    (lambda: pure_a_extract(P(QQ, 1, 3)), IdealArgumentError),
+    (lambda: laurent_gcd(QQ, [[0, 0], []]), IdealArgumentError),
+    (lambda: j_ideal_of([el.zero(QQ)]), IdealArgumentError),
+    (lambda: j_ideal_of([P(QQ, 1, 3), A(QQ, 0)]), IdealArgumentError),
+    (lambda: JIdeal(QQ, (1, 2)), TypeError),
+    (lambda: JIdeal(QQ, (QQ.one, GF(5).one)), FieldMismatchError),
+], ids=["fold_not_pure_a", "fold_weight", "extract_in_j", "gcd_all_zero",
+        "j_no_generator", "j_outside", "j_int", "j_other_field"])
+def test_bad_input_raises(make, error):
+    with pytest.raises(error):
+        make()

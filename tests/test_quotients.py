@@ -6,7 +6,7 @@ import pytest
 import highwater.elements as el
 import highwater.linalg as linalg
 from highwater import GF, QQ, FieldMismatchError
-from highwater.ideals import IdealData, ideal_of
+from highwater.ideals import IdealArgumentError, IdealData, ideal_of
 from highwater.quotients import (AxisOrbit, FiniteAlgebra, QuotientError,
                                  axis_orbit, eigenspace_split, family_Hn,
                                  family_Ln, small_quotient_suite)
@@ -457,3 +457,10 @@ def test_small_quotient_suite_passes(field):
             assert ("skipped" in e) == (p != 7)
         if e["case"] == "char5_mixed_generator":
             assert ("skipped" in e) == (p != 5)
+
+
+@pytest.mark.parametrize("family", [family_Hn, family_Ln], ids=["H", "L"])
+@pytest.mark.parametrize("n", [0, -2])
+def test_family_index_below_one_raises(family, n):
+    with pytest.raises(IdealArgumentError):
+        family(n, QQ)

@@ -87,3 +87,16 @@ def test_json_malformed_raises_parse_error():
     undefined["characteristic"] = 5
     with pytest.raises(ParseError):
         element_from_json(GF(5), undefined)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("p(1 3)", "expected ','"),
+    ("a(1) ", el.axis(QQ, 1)),
+    ("s(2)\t\n", el.sigma(QQ, 2)),
+], ids=["missing_comma", "trailing_space", "trailing_tab"])
+def test_literal_edges(text, want):
+    if isinstance(want, str):
+        with pytest.raises(ParseError, match=want):
+            parse_element(QQ, text)
+    else:
+        assert parse_element(QQ, text) == want

@@ -14,7 +14,8 @@ raw key ("z", r, k) is the difference symbol
 
     zed(r,k) = p(r+1,k) - p(r-1,k)    (residues mod 3),
 
-so stored P keys carry residue 1 or 2.  Other kinds raise ``ValueError``.
+so stored P keys carry residue 1 or 2.  Other kinds, and keys of the
+wrong length, raise ``ValueError``.
 
 Elements are sparse dicts mapping basis keys to nonzero raw field
 values: ints in ``range(p)`` over F_p, ``Fraction``s over Q.  A ``Scalar``
@@ -42,6 +43,7 @@ _KIND_RANK = {"a": 0, "s": 1, "p": 2}
 # the coefficients of p(1,k) and p(2,k) in p(r,k) and zed(r,k), by r mod 3
 _RESIDUES = {"p": ((-1, -1), (1, 0), (0, 1)),
              "z": ((1, -1), (1, 2), (-2, -1))}
+_LENGTHS = {"a": 2, "s": 2, "p": 3, "z": 3}  # of a raw key, by its kind
 
 
 def key_sort(key: Key):
@@ -225,6 +227,8 @@ def _add_scaled(acc: dict, c, terms, p: int) -> None:
 def _normal(key: Key) -> tuple[tuple[Key, int], ...]:
     """The stored keys that a raw key stands for, as (key, n) pairs: the
     raw key is the sum of n * key over them.  Subscripts must be ints."""
+    if not key or len(key) != _LENGTHS.get(key[0]):
+        raise ValueError(f"unknown basis key {key!r}")
     kind, j = key[0], key[1]
     if type(j) is not int or kind in _RESIDUES and type(key[2]) is not int:
         raise TypeError(f"basis key {key!r} needs int subscripts")
@@ -232,10 +236,7 @@ def _normal(key: Key) -> tuple[tuple[Key, int], ...]:
         return ((key, 1),)
     if kind == "s":
         return ((key, 1),) if j > 0 else ((("s", -j), 1),) if j else ()
-    row = _RESIDUES.get(kind)
-    if row is None:
-        raise ValueError(f"unknown basis key {key!r}")
-    k = key[2]
+    row, k = _RESIDUES[kind], key[2]
     if not k or k % 3:
         return ()
     k, (n1, n2) = abs(k), row[key[1] % 3]

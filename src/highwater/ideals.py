@@ -28,10 +28,13 @@ is the one map outside the Miyamoto group that ``ideal_of`` applies, and
 a test checks it against an extraction by theta(6) = tau(6) tau(0).
 
 Both families find their generator by the same Euclid (``_gcd``) and
-reduce by the same fold sweep (``PatternIdeal.reduce_core``).  Reduction
-against an ideal produces a canonical representative of the coset with
-a-support inside [0, D-1], s- and p-support below the survivor cutoff,
-and extension coordinates eliminated; membership is reduction to zero.
+reduce by ``PatternIdeal.reduce_core``: the a-part, as a polynomial in t,
+becomes its remainder mod the pattern, by synthetic division over near
+levels and memoised powers of t across far gaps (Fiduccia, 1985), and the
+s- and p-parts go by folds, one level at a time.  Reduction against an
+ideal produces a canonical representative of the coset with a-support
+inside [0, D-1], s- and p-support below the survivor cutoff, and
+extension coordinates eliminated; membership is reduction to zero.
 
 Over Q, ``ideal_of`` works on integers: patterns are keyed as coprime
 integer tuples, the Euclid is a primitive remainder sequence over Z, and
@@ -229,9 +232,10 @@ class PatternIdeal:
     ``reduce_core``, ``{position: value}`` over ``survivor_keys`` for
     ``to_vector``, ``from_vector`` and the ``extension`` rows.  Inside, the
     work is on integers: the constructor checks L * alpha, for L the lcm
-    of alpha's denominators (1 over F_p), and ``reduce_core`` sweeps
-    integer numerators over one denominator against the families times L.
-    Over Q ``Fraction``s are made only for what leaves: ``alpha`` holds
+    of alpha's denominators (1 over F_p), and ``reduce_core`` folds integer
+    numerators over one denominator against the families times L; only
+    its a-part mod alpha runs on ``Fraction``s, when L > 1.  Otherwise
+    ``Fraction``s are made only for what leaves: ``alpha`` holds
     ``Scalar``s of them, the ``extension`` rows hold them, and
     ``reduce_core`` makes one per output term unless asked for integers.
     """
@@ -251,10 +255,10 @@ class PatternIdeal:
             raise IdealArgumentError("pattern must be monic of degree >= 1, "
                                      "palindromic up to sign, of sum 0")
         self.field, self.p, self.alpha, self.epsilon = field, p, alpha, eps
+        self.degree = d = len(a) - 1
         self.contains_j = any(sum(a[r::3]) % p if p else sum(a[r::3])
                               for r in (1, 2))
         # the lowest s- and p-level that the families reduce
-        d = self.degree
         self._cutoff = cut = (d // 2 if d % 2 == 0 and eps == 1
                               else d // 2 + 1)
         # the survivors: the a-window, then the s- and p-levels below it
@@ -265,16 +269,17 @@ class PatternIdeal:
                                    for r in (1, 2)]
         self._key_pos = {k: i for i, k in enumerate(self.survivor_keys)}
         self.extension = Rref(self.p)
-        # (j, L * alpha_j) for the nonzero alpha_j, and the family tops L,
-        # L * alpha_0 and 2L, inverted over F_p
+        # (j, L * alpha_j) for the nonzero alpha_j, and the fold tops L and
+        # 2L, inverted over F_p
         self._scale = L
         self._support = [(j, c) for j, c in enumerate(a) if c]
-        tops = (L, a[0], 2 * L)
+        tops = (L, 2 * L)
         self._tops = [pow(t, -1, p) for t in tops] if p else tops
-
-    @property
-    def degree(self) -> int:
-        return len(self.alpha) - 1
+        # (D - j, alpha_j) as raw values (over Q ints when L = 1) for the
+        # nonzero alpha_j below the top; the squares t^(2^k) mod alpha
+        self._tail = [(d - j, c if L == 1 else Fraction(c, L))
+                      for j, c in self._support[:-1]]
+        self._squares = []
 
     @property
     def extension_rows(self) -> list[dict]:
@@ -303,12 +308,63 @@ class PatternIdeal:
 
     # -- reduction -------------------------------------------------------
 
+    def _sweep(self, r: list) -> list:
+        """The last D of top-first values r, at least D, once synthetic
+        division by alpha cancels the others; may consume r."""
+        d, p, tail = self.degree, self.p, self._tail
+        for i in range(len(r) - d):
+            if c := r[i] % p if p else r[i]:
+                for off, a in tail:
+                    r[i + off] -= c * a
+        return [c % p for c in r[-d:]] if p else r[-d:]
+
+    def _mul(self, u: list, v: list) -> list:
+        """u v mod alpha, for u and v as ``_sweep`` returns them."""
+        out = [0] * (2 * self.degree - 1)
+        for i, a in enumerate(u):
+            if a:
+                for j, b in enumerate(v, i):
+                    out[j] += a * b
+        return self._sweep(out)
+
+    def _times_power(self, v: list, g: int) -> list:
+        """t^g v mod alpha, for v as ``_sweep`` returns it, by the squares."""
+        sq = self._squares
+        for k in range(g.bit_length()):
+            if k == len(sq):  # t mod alpha, then each square of the last
+                sq.append(self._mul(sq[-1], sq[-1]) if sq else
+                          self._sweep([0] * (self.degree - 1) + [1, 0]))
+            if g >> k & 1:
+                v = self._mul(v, sq[k])
+        return v
+
+    def _window(self, terms: list) -> list:
+        """sum c t^n mod alpha over the ``(n, c)`` of ``terms``, distinct
+        n >= D, as ``_sweep`` returns it.  Top first, a gap of g levels is
+        swept for g S multiply-adds, S the terms of alpha, or crossed by
+        squares for about D (D + S) per bit of g, whichever is fewer."""
+        d, s = self.degree, len(self._support)
+        terms.sort(reverse=True)
+        terms.append((0, 0))  # the last gap ends at level 0
+        base, r = terms[0][0], [0] * d
+        for n, c in terms:
+            g = base - n
+            if g * s <= g.bit_length() * d * (d + s):
+                r += [0] * g
+            else:
+                r = self._times_power(self._sweep(r), g)
+            r[-1] += c
+            base = n
+        return self._sweep(r)
+
     def reduce_core(self, rem: dict, integral: bool = False) -> dict:
         """Reduce raw terms ``{key: value}`` against the minimal-ideal
         families only; may consume ``rem``, and returns the result (with
-        ``integral``, over Q, its numerators over a positive integer)."""
+        ``integral``, over Q, its numerators over a positive integer).  As
+        alpha is palindromic up to sign, t^-m mod alpha is the reversal of
+        t^(m + D - 1) mod alpha: levels below 0 go by ``_window`` too."""
         d, p, support = self.degree, self.p, self._support
-        top, bottom, top2 = self._tops
+        top, top2 = self._tops
         den, rem = el._integral(rem, p)
 
         def cancel(c, t, family):
@@ -323,18 +379,21 @@ class PatternIdeal:
 
         if self.contains_j:  # J is inside: the p-part goes
             rem = {k: c for k, c in rem.items() if k[0] != "p"}
-        hi = {}  # the top level in rem of a, s, p(1, .) and p(2, .)
+        if far := [k for k in rem if k[0] == "a" and not 0 <= k[1] < d]:
+            high = [(k[1], rem.pop(k)) for k in far if k[1] > 0]
+            low = [(d - 1 - k[1], rem.pop(k)) for k in far if k[1] < 0]
+            w = self._window(high) if high else [0] * d
+            if low:
+                w = [a + b for a, b in zip(w, reversed(self._window(low)))]
+            if self._scale > 1:  # Fractions: over one denominator again
+                m = lcm(*(c.denominator for c in w))
+                rem = {k: c * m for k, c in rem.items()}
+                den, w = den * m, [int(c * m) for c in w]
+            keys = self.survivor_keys[d - 1::-1]  # a(D - 1), ..., a(0)
+            el._add_scaled(rem, 1, [kc for kc in zip(keys, w) if kc[1]], p)
+        hi = {}  # the top level in rem of s, p(1, .) and p(2, .)
         for k in rem:
             hi[k[:-1]] = max(k[-1], hi.get(k[:-1], k[-1]))
-        lo = min((k[1] for k in rem if k[0] == "a"), default=0)
-        # a-part into the window [0, D-1]: levels D and up, top first, by
-        # shifts reaching no lower than 0; then levels below 0, lowest first
-        for m in range(hi.get(("a",), 0), d - 1, -1):
-            if c := rem.get(("a", m)):
-                cancel(c, top, [(("a", j + m - d), a) for j, a in support])
-        for m in range(lo, 0):
-            if c := rem.get(("a", m)):
-                cancel(c, bottom, [(("a", j + m), a) for j, a in support])
         # s-, p(1, .)- and p(2, .)-parts, top level first, down to the
         # survivor cutoff; the fold with top level n has top L * (alpha_{D-2n}
         # + 1): L above D/2, and 2L at D/2, reducible only when epsilon = 1

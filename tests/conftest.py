@@ -1,6 +1,10 @@
-"""Shared test helpers: fields under test and random element generation."""
+"""Shared test helpers: fields under test, random element generation and
+a time and memory bound for far reads."""
 
 import random
+import signal
+import tracemalloc
+from contextlib import contextmanager
 
 import pytest
 
@@ -42,3 +46,24 @@ def random_element(field: Field, rng: random.Random,
         if c:
             terms[k] = terms.get(k, field.zero) + c
     return Element(field, {k: c for k, c in terms.items() if c})
+
+
+@contextmanager
+def bounded(seconds: int, max_bytes: int):
+    """Fail the block when it runs longer than ``seconds`` (by SIGALRM, so
+    a cost linear in a subscript of 10^9 fails instead of hanging) or when
+    the peak of its Python allocations reaches ``max_bytes``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    tracemalloc.start()
+    signal.alarm(seconds)
+    try:
+        yield
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        signal.alarm(0)
+        tracemalloc.stop()
+        signal.signal(signal.SIGALRM, old)
+    assert peak < max_bytes, f"peak allocation {peak} bytes"

@@ -16,10 +16,21 @@ the one map outside the Miyamoto group that ``ideal_of`` applies.  The
 tests check it against ``pure_a_by_miyamoto``, which takes h - theta(6) h
 for theta(6) = tau(6) tau(0): a composite of two Miyamoto involutions,
 which keep every ideal.
+
+``PatternIdeal.reduce_core`` takes the a-part as its remainder mod the
+pattern, by synthetic division over near levels and powers of t across
+far gaps, and maps levels below the window onto levels above it by the
+palindromy of the pattern.  The tests check it against
+``reduce_core_by_walk``, which cancels one level at a time, on both sides
+of the window, by shifts of the pattern element.
 """
+
+from fractions import Fraction
+from math import gcd, lcm
 
 import highwater.elements as el
 from highwater import linalg
+from highwater.ideals import _fold
 from highwater.eigen import fusion_law
 from highwater.quotients import _identity, _shift
 
@@ -144,3 +155,47 @@ def pure_a_by_miyamoto(g):
         return g
     h = g if not g.part("a").is_zero() else el.axis(g.field, 0) * g
     return h - el.apply(el.miyamoto(3), el.apply(el.miyamoto(0), h))
+
+
+def reduce_core_by_walk(ideal, rem, integral=False):
+    """``ideal.reduce_core(rem, integral)`` by cancelling the top level of
+    rem, one level at a time: a-levels above the window top first by the
+    shifted pattern element, a-levels below it bottom first, then the s-,
+    p(1, .)- and p(2, .)-levels down to the cutoff by folds."""
+    p, d = ideal.p, ideal.degree
+    values = [c.value for c in ideal.alpha]
+    L = lcm(*(c.denominator for c in values))
+    support = [(j, c.numerator * (L // c.denominator))
+               for j, c in enumerate(values) if c]
+    tops = (L, support[0][1], 2 * L)
+    top, bottom, top2 = [pow(t, -1, p) for t in tops] if p else tops
+    den, rem = el._integral(dict(rem), p)
+
+    def cancel(c, t, family):
+        nonlocal den
+        if not p and c % t:
+            s = abs(t) // gcd(c, t)
+            for k in rem:
+                rem[k] *= s
+            den, c = den * s, c * s
+        el._add_scaled(rem, -(c * t % p if p else c // t), family, p)
+
+    if ideal.contains_j:
+        rem = {k: c for k, c in rem.items() if k[0] != "p"}
+    hi = {}
+    for k in rem:
+        hi[k[:-1]] = max(k[-1], hi.get(k[:-1], k[-1]))
+    lo = min((k[1] for k in rem if k[0] == "a"), default=0)
+    for m in range(hi.get(("a",), 0), d - 1, -1):
+        if c := rem.get(("a", m)):
+            cancel(c, top, [(("a", j + m - d), a) for j, a in support])
+    for m in range(lo, 0):
+        if c := rem.get(("a", m)):
+            cancel(c, bottom, [(("a", j + m), a) for j, a in support])
+    for head, step in ((("s",), 1), (("p", 1), 3), (("p", 2), 3)):
+        for n in range(hi.get(head, 0), ideal._cutoff - 1, -step):
+            if c := rem.get(head + (n,)):
+                cancel(c, top2 if 2 * n == d else top,
+                       _fold(support, d - n, step, head, p))
+    return rem if p or integral else {
+        k: Fraction(c, den) for k, c in rem.items()}

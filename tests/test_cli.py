@@ -8,6 +8,8 @@ import pytest
 
 from highwater.cli import main
 
+from conftest import bounded
+
 SCHEMA = json.loads(
     files("highwater.schemas").joinpath("cli_output.json").read_text())
 
@@ -69,6 +71,17 @@ def test_ideal_member(capsys):
                              "--gen", "a(0) - a(2)", "--elt", "a(0)")
     assert payload["member"] is False
     assert payload["residue"]["terms"]
+
+
+def test_ideal_member_far_subscript(capsys):
+    # t^20 - 1 divides t^(10^9) - 1; the read crosses 10^9 levels by powers
+    # of t, so a return to a walk over the levels fails the time bound
+    with bounded(10, 2 ** 20):
+        code, payload = run_json(capsys, "ideal", "member", "--char", "7",
+                                 "--gen", "a(0) - a(20)",
+                                 "--elt", "a(1000000000) - a(0)")
+    assert code == 0
+    assert payload["member"] is True
 
 
 def test_quotient_table(capsys, tmp_path):

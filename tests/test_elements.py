@@ -57,6 +57,17 @@ def test_constructor_normalises_keys(F):
         el.from_terms(F, [(("q", 1), 1)])
 
 
+@pytest.mark.parametrize("key", [("a", 1, 2), ("s", 1, 5), ("a",), ("p", 1),
+                                 ("z", 1, 3, 0), ()],
+                         ids=["a3", "s3", "a1", "p2", "z4", "empty"])
+def test_key_of_wrong_length_raises(key):
+    # a key of the wrong length is no basis key: ("a", 1, 2) is not a(1)
+    with pytest.raises(ValueError):
+        el.Element(QQ, {key: QQ.one})
+    with pytest.raises(ValueError):
+        el.from_terms(GF(7), [(key, 1)])
+
+
 # -- frozen product values --------------------------------------------------------
 
 def test_product_axis_axis():

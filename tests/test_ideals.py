@@ -4,6 +4,7 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import highwater.elements as el
 from highwater import GF, QQ, FieldMismatchError
@@ -16,8 +17,8 @@ from highwater.linalg import Rref
 from highwater.quotients import FiniteAlgebra
 from highwater.textio import parse_element
 
-from conftest import random_element, random_scalar
-from oracle import j_tuple_by_refinement
+from conftest import bounded, random_element, random_scalar
+from oracle import j_tuple_by_refinement, reduce_core_by_walk
 
 
 def A(F, i):
@@ -475,8 +476,8 @@ def test_sparse_folds_match_level_scan(F):
 
 @pytest.mark.parametrize("F", [QQ, GF(7)], ids=str)
 def test_far_reduction(F):
-    # the fold families have at most D + 1 terms, so reducing a subscript
-    # n steps from the window takes time linear in n
+    # the fold families have at most D + 1 terms, so reducing an s- or
+    # p-subscript n steps from the window takes time linear in n
     n = 10 ** 4
     ideal = ideal_of([A(F, 0) - A(F, 4)])
     assert ideal.reduce(A(F, n)) == ideal.reduce(A(F, n % 4))
@@ -542,9 +543,9 @@ def test_reduce_core_matches_division_oracle(F, alpha, eps, n):
             back[t] += Fraction(c) * b
     assert [F._value(c) for c in back] == [one] + [F.zero.value] * (d - 1)
     # s-, p- and a-inputs on both sides of the window, with denominators
-    # over Q, so that one call runs both a-walks and all three fold walks;
-    # s(D/2) alone has an odd numerator at the top 2L of its fold when
-    # epsilon = 1
+    # over Q, so that one call reduces a-levels above and below the window
+    # and runs all three fold walks; s(D/2) alone has an odd numerator at
+    # the top 2L of its fold when epsilon = 1
     m = 3 * (n // 3 + 1)
     members = minimal_ideal_basis(F, pat.alpha, m) \
         if n <= 3 * d + 1 else None
@@ -567,6 +568,136 @@ def test_reduce_core_matches_division_oracle(F, alpha, eps, n):
             for y in members:
                 span.insert(_coords(y, keys))
             assert not span.insert(_coords(x - r, keys))
+
+
+# -- reduce_core against the level walk ------------------------------------------
+
+# patterns by name, as Fractions low order first, with the fields to run
+# them over: t - 1, t^4 - 1, (1 - t^5)^2, two non-integral palindromes
+# (L = 7 and L = 3) and a dense palindrome of degree 12.  Over Q the last
+# three have roots off the unit circle, so their remainders grow with the
+# subscript and the walk is drawn nearer the window.
+_GF = (GF(5), GF(7), GF(11), GF(13))
+_WALK_PATTERNS = {
+    "t-1": ((-1, 1), (QQ,) + _GF),
+    "t4-1": (_ORACLE_PATTERNS["t4-1"][0], (QQ,) + _GF),
+    "square": (_ORACLE_PATTERNS["square"][0], (QQ,) + _GF),
+    "nonintegral": (_ORACLE_PATTERNS["nonintegral"][0], (QQ,)),
+    "thirds": ((1, Fraction(-4, 3), Fraction(2, 3), Fraction(-4, 3), 1),
+               (QQ,)),
+    "dense": ((1, 2, 3, 4, 5, 6, -42, 6, 5, 4, 3, 2, 1), (QQ,) + _GF),
+}
+_WALK_CASES = [(name, F) for name, (_, fields) in _WALK_PATTERNS.items()
+               for F in fields]
+_NEAR = {("nonintegral", QQ), ("thirds", QQ), ("dense", QQ)}
+
+
+def _pattern_ideal(name, F):
+    return PatternIdeal(F, [F.from_fraction(Fraction(c))
+                            for c in _WALK_PATTERNS[name][0]])
+
+
+def _same_up_to_scale(a, b):
+    """Integral results: the same keys, and values in one positive ratio."""
+    k0 = next(iter(a), None)
+    return set(a) == set(b) and all(a[k] * b[k0] == b[k] * a[k0] for k in a)\
+        and (k0 is None or a[k0] * b[k0] > 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_reduce_core_matches_walk(data):
+    # a-levels in clusters on both sides of the window, with gaps on both
+    # sides of the crossover from sweeping to powers of t, and s- and
+    # p-terms above the cutoff
+    name, F = data.draw(st.sampled_from(_WALK_CASES))
+    pat = _pattern_ideal(name, F)
+    mags = (3, 30, 300) if (name, F) in _NEAR else (3, 30, 300, 3000, 10 ** 4)
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3)))
+    raw = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        mag = data.draw(st.sampled_from(mags))
+        centre = data.draw(st.integers(-mag, mag))
+        raw += [(("a", centre + off), data.draw(coeff))
+                for off in data.draw(st.lists(st.integers(-6, 6), min_size=1,
+                                              max_size=4, unique=True))]
+    raw += [(("s", j), data.draw(coeff)) for j in data.draw(
+        st.lists(st.integers(1, 40), max_size=3, unique=True))]
+    raw += [(("p", r, 3 * k), data.draw(coeff)) for r, k in data.draw(
+        st.lists(st.tuples(st.integers(1, 2), st.integers(1, 13)),
+                 max_size=3, unique=True))]
+    terms = el.from_terms(F, raw).terms
+    assert pat.reduce_core(dict(terms)) == reduce_core_by_walk(pat, terms)
+    got = pat.reduce_core(dict(terms), integral=True)
+    assert all(type(c) is int for c in got.values())
+    assert _same_up_to_scale(got, reduce_core_by_walk(pat, terms, True))
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_j_reduce_matches_walk(data):
+    F = data.draw(st.sampled_from((QQ,) + _GF))
+    k = data.draw(st.integers(1, 3))
+    coeffs = [F.from_fraction(Fraction(data.draw(st.integers(-9, 9)),
+                                       data.draw(st.sampled_from((1, 2)))))
+              for _ in range(k - 1)] + [F.one]
+    J = JIdeal(F, coeffs)
+    levels = st.integers(1, 100 if F is QQ else 1000)
+    raw = [(("p", data.draw(st.integers(1, 2)), 3 * data.draw(levels)), 1)
+           for _ in range(data.draw(st.integers(1, 4)))]
+    raw += [(("a", data.draw(st.integers(-50, 50))), 2), (("s", 7), -1)]
+    x = el.from_terms(F, raw)
+    walk = reduce_core_by_walk(J._folds, {key: c for key, c in x.terms.items()
+                                          if key[0] == "p"})
+    walk.update((key, c) for key, c in x.terms.items() if key[0] != "p")
+    assert J.reduce(x).terms == walk
+
+
+@pytest.mark.parametrize("name, F", _WALK_CASES, ids=str)
+@pytest.mark.parametrize("m", [1, 2, 7, 60, 400])
+def test_mirror_identity(name, F, m):
+    # alpha is palindromic up to sign, so a(-m) reduces to the reversal of
+    # what a(m + D - 1) reduces to, within the window [0, D - 1]
+    pat = _pattern_ideal(name, F)
+    d, one = pat.degree, F.one.value
+    below = pat.reduce_core({("a", -m): one})
+    above = pat.reduce_core({("a", m + d - 1): one})
+    assert below == {("a", d - 1 - i): c for (_, i), c in above.items()}
+
+
+def _mulmod(u, v, alpha, p):
+    """u v mod alpha over F_p, for int lists low order first and alpha
+    monic, by schoolbook product and long division."""
+    d = len(alpha) - 1
+    r = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            r[i + j] += a * b
+    for m in range(len(r) - 1, d - 1, -1):
+        if c := r[m] % p:
+            for j, a in enumerate(alpha):
+                r[m - d + j] -= c * a
+    return [c % p for c in (r + [0] * d)[:d]]
+
+
+@pytest.mark.parametrize("alpha", [
+    [1, -1] + [0] * 9 + [-1, 1],  # 1 - t - t^11 + t^12
+    [1, 2, 3, 4, 5, 6, -42, 6, 5, 4, 3, 2, 1]], ids=["sparse", "dense"])
+def test_far_reads_by_powers(alpha):
+    # a(10^9) over GF(7) against a degree-12 pattern: a return to a walk
+    # over the levels fails the time bound instead of hanging
+    F, n = GF(7), 10 ** 9
+    pat = PatternIdeal(F, [F.scalar(c) for c in alpha])
+    alpha, d = [c % 7 for c in alpha], pat.degree
+
+    def read(m):
+        r = pat.reduce_core({("a", m): 1})
+        return [r.get(("a", i), 0) for i in range(d)]
+
+    with bounded(10, 2 ** 20):
+        r, r2, r_inv = read(n), read(2 * n), read(-n)
+    assert r2 == _mulmod(r, r, alpha, 7)
+    assert _mulmod(r, r_inv, alpha, 7) == [1] + [0] * (d - 1)
 
 
 def _coords(y, keys):

@@ -173,10 +173,17 @@ _SUITES = {
 }
 
 
+# the fusion, products and twisted suites make O(imax^2) products: at this
+# limit the slowest, products over Q, takes about 6 s on a 2-vCPU host
+_IMAX_LIMIT = 64
+
+
 def _cmd_verify(args) -> int:
     field = Field(args.char)
     if args.imax < 1:
         raise _UsageError("--imax must be at least 1")
+    if args.imax > _IMAX_LIMIT:
+        raise _UsageError(f"--imax must be at most {_IMAX_LIMIT}")
     suite = args.suite
     detail = _SUITES[suite](field, args.imax)
     if isinstance(detail, list):

@@ -3,12 +3,12 @@
 Every axis a(i) acts semisimply with eigenvalues 1, 5/2, 0, 2, 1/2
 (which may coincide after reduction mod p; in characteristic 5 the
 values 5/2 and 0 merge).  The decomposition at a(0) is computed slice
-by slice: the i-th slice spans a(-i), a(i), s(i), p(1,i), p(2,i) and,
-together with a share of a(0), splits exactly into the eigenvectors
-of ``FAMILIES``, so the decomposition is always total and the residual
-is zero.  ``FAMILIES`` is the one place that pairs each family with its
-eigenvalue: ``EIGENVALUES``, ``eigendecompose`` and ``fusion_check``
-all read it.
+by slice, on integers: the i-th slice spans a(-i), a(i), s(i), p(1,i),
+p(2,i) and, with a share of a(0), splits exactly into the eigenvectors
+of ``FAMILIES``, each an integer combination of these six slots that is
+read off its constructor once; so the computed residual is always zero.
+``FAMILIES`` is the one place that pairs each family with its eigenvalue:
+``EIGENVALUES``, ``eigendecompose`` and ``fusion_check`` all read it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import elements as el
-from .fields import Field, Scalar
+from .fields import QQ, Field, Scalar
 
 # (name, constructor, eigenvalue) of the eigenvectors of ad a(0) that span
 # the cover.  The first row is a(0) itself, built as axis(field, 0); the
@@ -33,6 +33,17 @@ FAMILIES = (
 )
 
 EIGENVALUES = tuple(dict.fromkeys(q for _, _, q in FAMILIES))
+
+
+def _slots(i: int) -> tuple:
+    """The keys of slice i >= 1; its p-keys vanish unless 3 | i."""
+    keys = (("a", 0), ("a", -i), ("a", i), ("s", i))
+    return keys if i % 3 else keys + (("p", 1, i), ("p", 2, i))
+
+
+# each family after a(0) as integers on the slots of its slice
+_SHAPES = {name: tuple(int(make(QQ, 3).terms.get(k, 0)) for k in _slots(3))
+           for name, make, _ in FAMILIES[1:]}
 
 # fusion rule table on the rational eigenvalues; missing pairs are empty
 _F = Fraction
@@ -98,7 +109,10 @@ class EigenDecomposition:
 
 
 def eigendecompose(x: el.Element, axis_index: int = 0) -> EigenDecomposition:
-    """Exact eigenspace decomposition of x for the adjoint of a(axis_index)."""
+    """Exact eigenspace decomposition of x for the adjoint of a(axis_index).
+
+    At a(0) on integers: residues over F_p; over Q, 16 den times each value
+    n / den, whose half and sixteenth are 8n and n, divided once at the end."""
     field = x.field
     if axis_index:
         inner = eigendecompose(el.apply(el.theta(-axis_index), x), 0)
@@ -109,26 +123,23 @@ def eigendecompose(x: el.Element, axis_index: int = 0) -> EigenDecomposition:
              for lam, comp in inner.components.items()},
             el.apply(back, inner.residual))
 
-    # raw arithmetic: the slice coefficients are read from x.terms, each
-    # reduced mod p once, and the components are raw dicts keyed by raw
-    # eigenvalues until the end
     p = field.characteristic
-    half, sixteenth = (field._value(Fraction(1, n)) for n in (2, 16))
-    (_, make0, lam0), *families = [(name, make, field._value(q))
-                                  for name, make, q in FAMILIES]
+    den, xs = el._integral(x.terms, p)
+    one, half, sixteenth = (1, pow(2, -1, p), pow(16, -1, p)) if p else \
+        (16, 8, 1)
+    (_, lam0, _), *families = [(name, field._value(q), _SHAPES.get(name))
+                               for name, _, q in FAMILIES]
     comp: dict = {}
 
-    def put(lam, make, i, c):
-        if p:
-            c %= p
-        if c:
+    def put(lam, c, slots, shape):
+        if c % p if p else c:
             el._add_scaled(comp.setdefault(lam, {}), c,
-                           make(field, i).terms.items(), p)
+                           [(k, n) for k, n in zip(slots, shape) if n], p)
 
-    get = x.terms.get
+    get = xs.get
     used = 0  # the share of a(0) held by the u and v components
     for i in sorted({abs(k[1]) if k[0] == "a" else k[1] if k[0] == "s"
-                     else k[2] for k in x.terms} - {0}):
+                     else k[2] for k in xs} - {0}):
         am, ap = get(("a", -i), 0), get(("a", i), 0)
         s = get(("s", i), 0)
         p1, p2 = get(("p", 1, i), 0), get(("p", 2, i), 0)
@@ -136,14 +147,18 @@ def eigendecompose(x: el.Element, axis_index: int = 0) -> EigenDecomposition:
         cv = (-3 * s - 2 * (am + ap)) * sixteenth    # cu - s/4
         coeffs = {"z": (p1 - p2 - 2 * s) * half, "u": cu, "v": cv,
                   "w": (am - ap) * half, "wt": (p1 + p2) * half}
-        for name, make, lam in families:
-            put(lam, make, i, coeffs[name])
+        slots = _slots(i)
+        for name, lam, shape in families:
+            put(lam, coeffs[name], slots, shape)
         used += 6 * cu + 2 * cv
-    put(lam0, make0, 0, get(("a", 0), 0) - used)
+    put(lam0, one * get(("a", 0), 0) - used, (("a", 0),), (1,))
 
-    residual = dict(x.terms)
+    residual = {k: one * n for k, n in xs.items()}
     for terms in comp.values():
         el._add_scaled(residual, -1, terms.items(), p)
+    for terms in () if p else (residual, *comp.values()):
+        for k, n in terms.items():
+            terms[k] = Fraction(n, 16 * den)
     return EigenDecomposition(
         0, {Scalar(field, lam): el.Element._of(field, terms)
             for lam, terms in comp.items() if terms},

@@ -23,6 +23,11 @@ far gaps, and maps levels below the window onto levels above it by the
 palindromy of the pattern.  The tests check it against
 ``reduce_core_by_walk``, which cancels one level at a time, on both sides
 of the window, by shifts of the pattern element.
+
+``eigendecompose`` expands each component on integers from one slot shape
+per family, read off the family's constructor once.  The tests check it
+against ``eigendecompose_by_families``, which accumulates the eigenvector
+elements that the constructors of ``FAMILIES`` build at every slice.
 """
 
 from fractions import Fraction
@@ -31,7 +36,8 @@ from math import gcd, lcm
 import highwater.elements as el
 from highwater import linalg
 from highwater.ideals import _fold
-from highwater.eigen import fusion_law
+from highwater.eigen import FAMILIES, EigenDecomposition, fusion_law
+from highwater.fields import Scalar
 from highwater.quotients import _identity, _shift
 
 
@@ -199,3 +205,53 @@ def reduce_core_by_walk(ideal, rem, integral=False):
                        _fold(support, d - n, step, head, p))
     return rem if p or integral else {
         k: Fraction(c, den) for k, c in rem.items()}
+
+
+def eigendecompose_by_families(x, axis_index=0):
+    """``eigendecompose(x, axis_index)`` by raw field arithmetic on the
+    elements ``make(field, i)`` of every family at every slice i."""
+    field = x.field
+    if axis_index:
+        inner = eigendecompose_by_families(
+            el.apply(el.theta(-axis_index), x))
+        back = el.theta(axis_index)
+        return EigenDecomposition(
+            axis_index, {lam: el.apply(back, comp)
+                         for lam, comp in inner.components.items()},
+            el.apply(back, inner.residual))
+    p = field.characteristic
+    half, sixteenth = (field._value(Fraction(1, n)) for n in (2, 16))
+    (_, make0, lam0), *families = [(name, make, field._value(q))
+                                  for name, make, q in FAMILIES]
+    comp = {}
+
+    def put(lam, make, i, c):
+        if p:
+            c %= p
+        if c:
+            el._add_scaled(comp.setdefault(lam, {}), c,
+                           make(field, i).terms.items(), p)
+
+    get = x.terms.get
+    used = 0  # the share of a(0) held by the u and v components
+    for i in sorted({abs(k[1]) if k[0] == "a" else k[1] if k[0] == "s"
+                     else k[2] for k in x.terms} - {0}):
+        am, ap = get(("a", -i), 0), get(("a", i), 0)
+        s = get(("s", i), 0)
+        p1, p2 = get(("p", 1, i), 0), get(("p", 2, i), 0)
+        cu = (s - 2 * (am + ap)) * sixteenth    # s/16 - (am + ap)/8
+        cv = (-3 * s - 2 * (am + ap)) * sixteenth    # cu - s/4
+        coeffs = {"z": (p1 - p2 - 2 * s) * half, "u": cu, "v": cv,
+                  "w": (am - ap) * half, "wt": (p1 + p2) * half}
+        for name, make, lam in families:
+            put(lam, make, i, coeffs[name])
+        used += 6 * cu + 2 * cv
+    put(lam0, make0, 0, get(("a", 0), 0) - used)
+
+    residual = dict(x.terms)
+    for terms in comp.values():
+        el._add_scaled(residual, -1, terms.items(), p)
+    return EigenDecomposition(
+        0, {Scalar(field, lam): el.Element._of(field, terms)
+            for lam, terms in comp.items() if terms},
+        el.Element._of(field, residual))

@@ -116,6 +116,16 @@ def test_verify_suites(capsys, suite):
     assert payload["ok"]
 
 
+@pytest.mark.parametrize("char", ["0", "5"])
+def test_verify_fusion_imax_24(capsys, char):
+    # 89 vectors: a(0), u, v, w for i = 1..24 and z, wt for i = 3, 6, ..., 24
+    with bounded(10, None):
+        code, payload = run_json(capsys, "verify", "fusion", "--char", char,
+                                 "--imax", "24")
+    assert code == 0 and payload["ok"]
+    assert payload["detail"]["checked"] == 89 * 90 // 2 == 4005
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "mul", "--char", "4", "a(0)", "a(1)")[0] == 2
     assert run(capsys, "mul", "--char", "0", "a(", "a(1)")[0] == 2
@@ -250,11 +260,13 @@ def test_closed_stdout_exits_quietly_with_sigpipe_code(capsys, monkeypatch):
      "characteristic must be 0 or prime, got 9"),
     (["verify", "fusion", "--char", "0", "--imax", "0"],
      "--imax must be at least 1"),
+    (["verify", "products", "--char", "0", "--imax", "65"],
+     "--imax must be at most 64"),
     (["quotient", "--char", "0", "--gen", "0"],
      "quotient by the zero ideal is not finite"),
     (["ideal", "classify", "--char", "0", "--gen", ";"],
      "need at least one element"),
-], ids=["characteristic", "characteristic_first", "usage", "quotient",
-        "ideal"])
+], ids=["characteristic", "characteristic_first", "usage", "imax_limit",
+        "quotient", "ideal"])
 def test_engine_errors_exit_2_with_their_message(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")

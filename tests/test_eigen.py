@@ -2,14 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import highwater.eigen as eigen
 import highwater.elements as el
 from highwater import GF, QQ, FieldMismatchError, parse_element
-from highwater.eigen import (eigendecompose, fusion_check, fusion_law,
-                             miyamoto_consistency, miyamoto_map,
+from highwater.eigen import (FAMILIES, eigendecompose, fusion_check,
+                             fusion_law, miyamoto_consistency, miyamoto_map,
                              product_identity_suite, twisted_identity_suite)
 
-from conftest import random_element
+from conftest import FIELDS, random_element
+from oracle import eigendecompose_by_families
 
 
 # -- eigenvectors of the distinguished axis ----------------------------------------
@@ -67,6 +70,60 @@ def test_component_keys():
         dec.component(QQ.scalar(2))
     with pytest.raises(TypeError):
         dec.component(2.0)
+
+
+_raw_key_st = st.one_of(
+    st.tuples(st.sampled_from("as"), st.integers(-40, 40)),
+    st.tuples(st.sampled_from("pz"), st.integers(-3, 3),
+              st.integers(-40, 40)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_eigendecompose_matches_family_oracle(data):
+    F = data.draw(st.sampled_from([QQ, GF(5), GF(7), GF(11), GF(13)]))
+    x = el.from_terms(F, data.draw(st.lists(st.tuples(_raw_key_st, st.builds(
+        Fraction, st.integers(-99, 99), st.sampled_from([1, 2, 3, 16]))),
+        max_size=10)))
+    axis_index = data.draw(st.integers(-5, 5))
+    got = eigendecompose(x, axis_index)
+    want = eigendecompose_by_families(x, axis_index)
+    assert got == want
+    assert list(got.components) == list(want.components)
+    for part in (*got.components.values(), got.residual):
+        for c in part.terms.values():
+            assert (type(c) is Fraction if not F.characteristic
+                    else type(c) is int and 0 <= c < F.characteristic)
+
+
+@pytest.mark.parametrize("name, make", [row[:2] for row in FAMILIES[1:]],
+                         ids=[row[0] for row in FAMILIES[1:]])
+def test_slot_shapes_rebuild_the_families(field, name, make):
+    shape = eigen._SHAPES[name]
+    for i in range(1, 31):  # the p-slots drop out unless 3 | i
+        assert el.from_terms(field, zip(eigen._slots(i), shape)) == \
+            make(field, i), i
+
+
+@pytest.mark.parametrize("slot", range(6))
+@pytest.mark.parametrize("name", [name for name, _, _ in FAMILIES[1:]])
+def test_corrupt_shape_leaves_a_residual(monkeypatch, name, slot):
+    shape = list(eigen._SHAPES[name])
+    shape[slot] += 1
+    monkeypatch.setitem(eigen._SHAPES, name, tuple(shape))
+    for F in FIELDS:
+        # every family has coefficient 1, so every slot is written
+        x = sum((make(F, 3) for _, make, _ in FAMILIES[1:]), el.zero(F))
+        assert not eigendecompose(x).is_total
+
+
+def test_fusion_check_reports_an_emptied_rule(monkeypatch):
+    law = fusion_law(QQ)
+    monkeypatch.setitem(law.table, (QQ.one, QQ.one), frozenset())
+    rep = fusion_check(QQ, 2)
+    assert not rep["ok"]
+    assert {"pair": ("a(0)", "a(0)"), "eigenvalue": "1",
+            "reason": "component outside fusion law"} in rep["violations"]
 
 
 def test_axis_decomposes_as_itself(field):

@@ -106,9 +106,9 @@ class Field:
             return q % p if p else Fraction(q)
         if isinstance(q, (float, Scalar)):  # floats are not exact
             raise TypeError(f"pass an int or Fraction, not {type(q).__name__}")
+        q = q if type(q) is Fraction else Fraction(q)  # copy other rationals
         if p == 0:
-            return q if type(q) is Fraction else Fraction(q)
-        q = Fraction(q)
+            return q
         den = q.denominator % p
         if den == 0:
             raise ZeroDivisionError(

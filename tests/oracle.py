@@ -28,6 +28,11 @@ of the window, by shifts of the pattern element.
 per family, read off the family's constructor once.  The tests check it
 against ``eigendecompose_by_families``, which accumulates the eigenvector
 elements that the constructors of ``FAMILIES`` build at every slice.
+
+``fusion_check`` splits each product of eigenvectors on integers, as a
+nonzero multiple of the product that never becomes an ``Element``.  The
+tests check it against ``fusion_check_by_elements``, which multiplies the
+eigenvector elements and decomposes each product with ``eigendecompose``.
 """
 
 from fractions import Fraction
@@ -36,7 +41,8 @@ from math import gcd, lcm
 import highwater.elements as el
 from highwater import linalg
 from highwater.ideals import _fold
-from highwater.eigen import FAMILIES, EigenDecomposition, fusion_law
+from highwater.eigen import (FAMILIES, EigenDecomposition, eigendecompose,
+                             fusion_law)
 from highwater.fields import Scalar
 from highwater.quotients import _identity, _shift
 
@@ -255,3 +261,35 @@ def eigendecompose_by_families(x, axis_index=0):
         0, {Scalar(field, lam): el.Element._of(field, terms)
             for lam, terms in comp.items() if terms},
         el.Element._of(field, residual))
+
+
+def fusion_check_by_elements(field, i_max):
+    """``fusion_check(field, i_max)`` by ``Element`` products, each
+    decomposed by ``eigendecompose`` into ``Scalar``-keyed components."""
+    law = fusion_law(field)
+    (name0, make0, lam0), *families = [(name, make, field.from_fraction(q))
+                                       for name, make, q in FAMILIES]
+    vectors = [(lam0, f"{name0}(0)", make0(field, 0))]
+    for i in range(1, i_max + 1):
+        for name, make, lam in families:
+            v = make(field, i)
+            if v:
+                vectors.append((lam, f"{name}({i})", v))
+
+    checked = 0
+    violations = []
+    for idx, (lam, name1, xv) in enumerate(vectors):
+        for mu, name2, yv in vectors[idx:]:
+            allowed = law.allowed(lam, mu)
+            dec = eigendecompose(xv * yv)
+            checked += 1
+            if not dec.is_total:
+                violations.append({"pair": (name1, name2),
+                                   "reason": "decomposition not total"})
+                continue
+            violations += [{"pair": (name1, name2), "eigenvalue": str(ev),
+                            "reason": "component outside fusion law"}
+                           for ev in dec.components if ev not in allowed]
+    return {"characteristic": field.characteristic, "i_max": i_max,
+            "checked": checked, "violations": violations,
+            "ok": not violations}

@@ -2,17 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import highwater.eigen as eigen
 import highwater.elements as el
 from highwater import GF, QQ, FieldMismatchError, parse_element
+from highwater.fields import Scalar
 from highwater.eigen import (FAMILIES, eigendecompose, fusion_check,
                              fusion_law, miyamoto_consistency, miyamoto_map,
                              product_identity_suite, twisted_identity_suite)
 
 from conftest import FIELDS, random_element
-from oracle import eigendecompose_by_families
+from oracle import eigendecompose_by_families, fusion_check_by_elements
 
 
 # -- eigenvectors of the distinguished axis ----------------------------------------
@@ -158,6 +159,63 @@ def test_fusion_table_entries():
     assert law.allowed(one, one) == frozenset({one})
     assert law.allowed(two, half) == frozenset({half})
     assert law.allowed(zero, two) == frozenset({five2, two})
+
+
+ORACLE_FIELDS = [QQ, GF(5), GF(7), GF(11), GF(13)]
+
+
+@pytest.mark.parametrize("F", ORACLE_FIELDS, ids=repr)
+def test_fusion_check_matches_element_oracle(monkeypatch, F):
+    for i_max in range(1, 11):
+        assert fusion_check(F, i_max) == fusion_check_by_elements(F, i_max)
+    half = F.scalar(1, 2)
+    monkeypatch.setitem(fusion_law(F).table, (half, half), frozenset())
+    for i_max in range(1, 7):
+        rep = fusion_check(F, i_max)
+        assert rep == fusion_check_by_elements(F, i_max)
+        assert rep["violations"] and not rep["ok"]
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in FAMILIES[1:]])
+def test_fusion_check_reports_an_untotal_split(monkeypatch, name):
+    shape = list(eigen._SHAPES[name])
+    shape[1] += 1  # the a(-i) slot, written by every family
+    monkeypatch.setitem(eigen._SHAPES, name, tuple(shape))
+    for F in FIELDS:
+        rep = fusion_check(F, 3)
+        assert not rep["ok"]
+        assert "decomposition not total" in \
+            {v["reason"] for v in rep["violations"]}
+        assert rep == fusion_check_by_elements(F, 3)
+
+
+_int_terms_st = st.lists(st.tuples(_raw_key_st, st.integers(-99, 99)),
+                         max_size=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(F=st.sampled_from(ORACLE_FIELDS), raw=_int_terms_st,
+       c=st.integers(-10 ** 6, 10 ** 6),
+       corrupt=st.none() | st.tuples(
+           st.sampled_from([name for name, _, _ in FAMILIES[1:]]),
+           st.integers(0, 5)))
+def test_split_of_a_multiple_keeps_components_and_verdict(F, raw, c,
+                                                          corrupt):
+    p = F.characteristic
+    assume(c % p if p else c)
+    x = el.from_terms(F, raw)
+    xs = el._integral(x.terms, p)[1]
+    cxs = {k: m for k, n in xs.items() if (m := c * n % p if p else c * n)}
+    with pytest.MonkeyPatch.context() as mp:
+        if corrupt:  # a wrong shape leaves a residual in both routes
+            name, slot = corrupt
+            shape = list(eigen._SHAPES[name])
+            shape[slot] += 1
+            mp.setitem(eigen._SHAPES, name, tuple(shape))
+        comp, residual = eigen._split(cxs, p, fusion_law(F).raw)
+        dec = eigendecompose(x)
+    assert {Scalar(F, lam) for lam in comp} == set(dec.components)
+    assert (not residual) == dec.is_total
 
 
 @pytest.mark.parametrize("p", [0, 5, 7, 11])

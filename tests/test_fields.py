@@ -1,3 +1,4 @@
+import numbers
 import time
 from fractions import Fraction
 
@@ -154,3 +155,29 @@ def test_field_axioms_sample(a, b, c):
 def test_gf_rejects_bad_characteristic(p):
     with pytest.raises(BadCharacteristicError):
         GF(p)
+
+
+class _Rational:
+    """A rational that is not a ``Fraction``: Fraction(q) reads its
+    numerator and denominator."""
+
+    def __init__(self, n, d):
+        self.numerator, self.denominator = n, d
+
+
+numbers.Rational.register(_Rational)
+
+
+@pytest.mark.parametrize("p", [0, 5, 7, 13])
+def test_value_of_fraction_int_and_other_rational_agree(p):
+    F = Field(p)
+    for n, d in ((3, 1), (-7, 1), (5, 2), (-9, 4), (1, 16)):
+        want = F._value(Fraction(n, d))
+        assert F._value(_Rational(n, d)) == want
+        if d == 1:
+            assert F._value(n) == want
+        assert type(want) is (Fraction if p == 0 else int)
+    if p:
+        for q in (Fraction(1, p), Fraction(2, 3 * p), _Rational(1, p)):
+            with pytest.raises(ZeroDivisionError):
+                F._value(q)

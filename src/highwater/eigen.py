@@ -1,4 +1,4 @@
-"""Eigenstructure of the adjoint of an axis, fusion law, identity suites.
+"""Eigenstructure of ad of an axis, fusion law, identity suites.
 
 Every axis a(i) acts semisimply with eigenvalues 1, 5/2, 0, 2, 1/2
 (which may coincide after reduction mod p; in characteristic 5 the
@@ -111,7 +111,7 @@ class EigenDecomposition:
 
 
 def eigendecompose(x: el.Element, axis_index: int = 0) -> EigenDecomposition:
-    """Exact eigenspace decomposition of x for the adjoint of a(axis_index).
+    """Exact eigenspace decomposition of x for ad a(axis_index).
 
     At a(0) on integers: residues over F_p; over Q, 16 den times each value
     n / den, whose half and sixteenth are 8n and n, divided once at the end."""

@@ -1,11 +1,9 @@
-"""Tiny exact linear algebra over a Field.
+"""Exact row reduction of sparse rows: ``Rref``.
 
 Values are raw field values, as in every container of coefficients:
 ints in ``range(p)`` over F_p, ``Fraction``s over Q (``p == 0``), except
 in an integral ``Rref`` over Q, whose rows are integer numerators.
-``Rref`` rows are sparse ``{column: value}`` dicts without zero values;
-the vectors and matrices of ``vec_scale``, ``mat_vec`` and ``kernel_basis``
-are dense lists and list-of-lists.
+Rows are sparse ``{column: value}`` dicts without zero values.
 """
 
 from __future__ import annotations
@@ -13,21 +11,6 @@ from __future__ import annotations
 from math import gcd
 
 from .elements import _add_scaled
-from .fields import Field
-
-Vec = list
-Mat = list
-
-
-def vec_scale(u: Vec, c, p: int) -> Vec:
-    """c * u for a raw value c."""
-    return [a * c % p for a in u] if p else [a * c for a in u]
-
-
-def mat_vec(m: Mat, v: Vec, field: Field) -> Vec:
-    p, zero = field.characteristic, field.zero.value
-    out = [sum((a * b for a, b in zip(row, v)), zero) for row in m]
-    return [a % p for a in out] if p else out
 
 
 def _eliminate(u: dict, row: dict, piv: int, p: int, integral: bool) -> dict:
@@ -91,22 +74,3 @@ class Rref:
         self.rows[piv] = v
         return True
 
-
-def kernel_basis(m: Mat, field: Field) -> list[Vec]:
-    """Basis of the right kernel of the n x n (or m x n) matrix."""
-    if not m:
-        return []
-    ncols = len(m[0])
-    p = field.characteristic
-    rr = Rref(p)
-    for row in m:
-        rr.insert({j: a for j, a in enumerate(row) if a})
-    basis = []
-    for j in (j for j in range(ncols) if j not in rr.rows):
-        v = [field.zero.value] * ncols
-        v[j] = field.one.value
-        for piv, row in rr.rows.items():
-            if j in row:
-                v[piv] = p - row[j] if p else -row[j]
-        basis.append(v)
-    return basis

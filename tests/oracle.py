@@ -1,5 +1,11 @@
 """Brute-force references, kept out of the engine.
 
+``eigenspace_split`` takes the eigenspaces of an axis image in a quotient
+as the images of the cover's eigencomponents of the basis labels, and
+reads no structure table.  The tests check it against
+``eigenspace_split_dense``, which takes the kernel of ad - lambda*I for
+each value of the fusion law, from the dense adjoint built by ``mult``.
+
 ``axis_orbit`` reads the orbit and the group order off the axis images
 and builds no matrix.  The tests check it against the matrices here: the
 Miyamoto involution of an axis image from its adjoint, and the group
@@ -39,17 +45,81 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import highwater.elements as el
-from highwater import linalg
 from highwater.ideals import _fold
 from highwater.eigen import (FAMILIES, EigenDecomposition, eigendecompose,
                              fusion_law)
 from highwater.fields import Scalar
-from highwater.quotients import _identity, _shift
+from highwater.linalg import Rref
+
+
+# -- dense linear algebra on raw values: vectors are lists, matrices lists
+# of rows
+
+def vec_scale(u, c, p):
+    """c * u for a raw value c."""
+    return [a * c % p for a in u] if p else [a * c for a in u]
+
+
+def mat_vec(m, v, field):
+    p, zero = field.characteristic, field.zero.value
+    out = [sum((a * b for a, b in zip(row, v)), zero) for row in m]
+    return [a % p for a in out] if p else out
 
 
 def mat_mul(a, b, field):
     cols = list(zip(*b)) if b else []
-    return [linalg.mat_vec(cols, row, field) for row in a]
+    return [mat_vec(cols, row, field) for row in a]
+
+
+def kernel_basis(m, field):
+    """Basis of the right kernel of the n x n (or m x n) matrix."""
+    if not m:
+        return []
+    ncols = len(m[0])
+    p = field.characteristic
+    rr = Rref(p)
+    for row in m:
+        rr.insert({j: a for j, a in enumerate(row) if a})
+    basis = []
+    for j in (j for j in range(ncols) if j not in rr.rows):
+        v = [field.zero.value] * ncols
+        v[j] = field.one.value
+        for piv, row in rr.rows.items():
+            if j in row:
+                v[piv] = p - row[j] if p else -row[j]
+        basis.append(v)
+    return basis
+
+
+def _identity(field, n):
+    one, zero = field.one.value, field.zero.value
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def _shift(m, c):
+    """The matrix m - c*I for a Scalar c."""
+    p, c = c.field.characteristic, c.value
+    out = [list(row) for row in m]
+    for i, row in enumerate(out):
+        row[i] = (row[i] - c) % p if p else row[i] - c
+    return out
+
+
+def adjoint(q, u):
+    """Matrix of left multiplication by the coordinate vector ``u``."""
+    cols = [q.mult(u, e) for e in _identity(q.field, q.dim)]
+    return [list(row) for row in zip(*cols)]
+
+
+def eigenspace_split_dense(q, axis_vec):
+    """The eigenspaces of ad ``axis_vec`` as kernels of ad - lambda*I over
+    the values of the fusion law: eigenvalue -> basis, or None when they
+    do not exhaust the quotient."""
+    ad = adjoint(q, axis_vec)
+    spaces = {v: kernel_basis(_shift(ad, v), q.field)
+              for v in fusion_law(q.field).values}
+    spaces = {v: basis for v, basis in spaces.items() if basis}
+    return spaces if sum(map(len, spaces.values())) == q.dim else None
 
 
 def miyamoto_matrix(q, axis_vec):
@@ -62,18 +132,18 @@ def miyamoto_matrix(q, axis_vec):
     """
     field = q.field
     p = field.characteristic
-    ad = q.adjoint(axis_vec)
+    ad = adjoint(q, axis_vec)
     half = field.scalar(1, 2)
     proj = _identity(field, q.dim)
     for mu in fusion_law(field).values:
         if mu != half:
             c = (half - mu).inverse().value
-            proj = [linalg.vec_scale(row, c, p) for row in
+            proj = [vec_scale(row, c, p) for row in
                     mat_mul(proj, _shift(ad, mu), field)]
     if any(map(any, mat_mul(proj, _shift(ad, half), field))):
         return None
     # -2E - (-1)I
-    return _shift([linalg.vec_scale(row, -2, p) for row in proj], -field.one)
+    return _shift([vec_scale(row, -2, p) for row in proj], -field.one)
 
 
 def brute_force_group(q, cap):

@@ -1,4 +1,5 @@
-"""Rref and kernel_basis on seeded random rows over Q and GF(7).
+"""Rref, and the test oracle's kernel_basis, on seeded random rows over Q
+and GF(7).
 
 Both take and return raw values: ``Fraction``s over Q, ints in
 ``range(7)`` over GF(7).  The random rows are dense lists; ``Rref``
@@ -14,7 +15,8 @@ import pytest
 
 from conftest import random_scalar
 from highwater import GF, QQ
-from highwater.linalg import Rref, kernel_basis, mat_vec
+from highwater.linalg import Rref
+from oracle import kernel_basis, mat_vec
 
 
 @pytest.fixture(params=[QQ, GF(7)], ids=lambda f: f"char{f.characteristic}")

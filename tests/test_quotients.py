@@ -5,14 +5,17 @@ import pytest
 
 import highwater.elements as el
 import highwater.linalg as linalg
+import highwater.quotients as quotients
 from highwater import GF, QQ, FieldMismatchError
+from highwater.eigen import EigenDecomposition, fusion_law
 from highwater.ideals import IdealArgumentError, IdealData, ideal_of
 from highwater.quotients import (AxisOrbit, FiniteAlgebra, QuotientError,
                                  axis_orbit, eigenspace_split, family_Hn,
                                  family_Ln, small_quotient_suite)
 
 from conftest import random_element
-from oracle import brute_force_group, mat_mul, miyamoto_matrix
+from oracle import (adjoint, brute_force_group, eigenspace_split_dense,
+                    mat_mul, mat_vec, miyamoto_matrix, vec_scale)
 from test_ideal_fingerprint import ideals as sweep_ideals
 
 
@@ -67,7 +70,7 @@ def test_coordinate_vectors_of_wrong_length_raise(field):
     good = [one, zero, zero]
     for bad in ([one], [one, zero], good + [one]):
         for call in (lambda: q.mult(bad, good), lambda: q.mult(good, bad),
-                     lambda: q.adjoint(bad), lambda: q.weight(bad)):
+                     lambda: q.weight(bad)):
             with pytest.raises(QuotientError):
                 call()
     assert q.mult(good, good) == good
@@ -184,7 +187,7 @@ def test_structure_is_built_on_first_read(F):
     assert q.mult(e0, e0) == e0
     table = vars(q)["structure"]
     assert len(table) == q.dim * (q.dim + 1) // 2
-    q.adjoint(e0)
+    adjoint(q, e0)
     assert q.structure is table
 
 
@@ -275,11 +278,109 @@ def test_axis_eigenvalues_lie_in_fusion_set(field):
               field.scalar(1, 2)}
     for q in (family_Hn(4, field), family_Ln(2, field)):
         for i in (0, 1):
-            spaces = eigenspace_split(q, q.to_vector(A(field, i)))
+            spaces = eigenspace_split(q, i)
             assert spaces is not None
             assert set(spaces) <= values
             # primitivity: the 1-eigenspace is the span of the axis image
             assert len(spaces[field.one]) == 1
+
+
+def test_induced_map_is_none_when_not_multiplicative(field):
+    # a table entry that no longer matches the product breaks the check
+    q = family_Hn(3, field)
+    assert q.induced_map(el.tau(0)) is not None
+    assert q.basis_keys[:2] == [("a", 0), ("a", 1)]
+    vars(q)["structure"][(0, 0)] = {1: field.one.value}  # a(0)^2 = a(1)
+    assert q.induced_map(el.tau(0)) is None
+    assert q.induced_map(el.tau(1)) is None
+
+
+# -- eigenspaces as images of the cover's --------------------------------------------
+
+SPLIT_FIELDS = [QQ, GF(5), GF(7), GF(11), GF(13)]
+
+
+def _span(F, vecs):
+    rr = linalg.Rref(F.characteristic)
+    for v in vecs:
+        rr.insert({t: c for t, c in enumerate(v) if c})
+    return rr.rows
+
+
+def _assert_split_matches_dense(q, i):
+    F = q.field
+    spaces = eigenspace_split(q, i)
+    dense = eigenspace_split_dense(q, q.to_vector(A(F, i)))
+    assert spaces is not None and dense is not None
+    assert list(spaces) == list(dense)
+    for lam, basis in spaces.items():
+        assert len(_span(F, basis)) == len(basis)
+        assert _span(F, basis) == _span(F, dense[lam])
+
+
+@pytest.mark.parametrize("F", SPLIT_FIELDS, ids=str)
+def test_eigenspace_split_matches_dense_on_families(F):
+    cases = 0
+    for family in (family_Hn, family_Ln):
+        for n in range(1, 10):
+            for collapse_j in (False, True):
+                q = family(n, F, collapse_j=collapse_j)
+                for i in (0, 1, 2):
+                    _assert_split_matches_dense(q, i)
+                    cases += 1
+    assert cases == 108
+
+
+def test_eigenspace_split_matches_dense_on_sweep_quotients():
+    cases = 0
+    for ideal in sweep_ideals().values():
+        if ideal.kind == "pattern" and ideal.summary()["quotient_dim"] <= 30:
+            q = FiniteAlgebra(ideal)
+            for i in (0, 1):
+                _assert_split_matches_dense(q, i)
+                cases += 1
+    assert cases == 802
+
+
+def test_eigenspace_split_reads_no_table(field):
+    q = family_Ln(9, field)
+    assert eigenspace_split(q, 1) is not None
+    assert "structure" not in vars(q)
+
+
+def test_eigenspace_split_none_when_spans_overlap(monkeypatch, field):
+    # one component copied into a second eigenvalue lies in two spans
+    real, values = quotients.eigendecompose, fusion_law(field).values
+
+    def doubled(x, i):
+        dec = real(x, i)
+        comps = dict(dec.components)
+        free = [v for v in values if v not in comps]
+        if free:
+            comps[free[0]] = next(iter(comps.values()))
+        return EigenDecomposition(dec.axis_index, comps, dec.residual)
+
+    q = family_Hn(4, field)
+    assert eigenspace_split(q, 0) is not None
+    monkeypatch.setattr(quotients, "eigendecompose", doubled)
+    assert eigenspace_split(q, 0) is None
+
+
+@pytest.mark.parametrize("F", [QQ, GF(5), GF(7)], ids=str)
+def test_eigenspace_split_of_j_relative_quotient(F):
+    # a(i) is outside J, so it has no coordinates here, but ad a(i) acts
+    P = lambda r, k: el.pi(F, r, k)
+    q = FiniteAlgebra(ideal_of([P(1, 3) - P(1, 9)]), j_relative=True)
+    with pytest.raises(QuotientError):
+        q.to_vector(A(F, 0))
+    for i in (0, 1, 2):
+        spaces = eigenspace_split(q, i)
+        assert list(spaces) == [F.scalar(5, 2), F.scalar(1, 2)]
+        assert [len(b) for b in spaces.values()] == [2, 2] and q.dim == 4
+        for lam, basis in spaces.items():
+            for b in basis:
+                x = q.from_vector(b)
+                assert q.to_vector(A(F, i) * x) == q.to_vector(x.scale(lam))
 
 
 def test_miyamoto_matrix_is_involution(field):
@@ -352,7 +453,7 @@ def test_every_orbit_axis_permutes_the_orbit(family, n, F, want):
     for v in o.axes:
         m = miyamoto_matrix(q, v)
         assert m is not None
-        assert {tuple(linalg.mat_vec(m, w, F)) for w in o.axes} == orbit
+        assert {tuple(mat_vec(m, w, F)) for w in o.axes} == orbit
 
 
 @pytest.mark.parametrize("family,n,F,want", ORBITS, ids=ORBIT_IDS)
@@ -360,11 +461,11 @@ def test_orbit_builds_no_matrix(monkeypatch, family, n, F, want):
     q = _orbit_quotient(family, n, F)
 
     def boom(*args, **kwargs):
-        raise AssertionError("matrix work on the orbit path")
+        raise AssertionError("matrix or eigen work on the orbit path")
 
-    monkeypatch.setattr(FiniteAlgebra, "adjoint", boom)
-    monkeypatch.setattr(linalg, "kernel_basis", boom)
-    monkeypatch.setattr(linalg, "mat_vec", boom)
+    monkeypatch.setattr(FiniteAlgebra, "induced_map", boom)
+    monkeypatch.setattr(quotients, "eigendecompose", boom)
+    monkeypatch.setattr(linalg.Rref, "insert", boom)
     o = axis_orbit(q, 30)
     assert (o.closed, len(o.axes), o.miyamoto_group_order) == want
 
@@ -392,7 +493,7 @@ def test_orbit_matches_brute_force_group(F):
             assert o.miyamoto_group_order == "unbounded at cutoff"
             continue
         gens = [q.to_vector(A(F, i)) for i in (0, 1)]
-        orbit = {tuple(linalg.mat_vec(g, v, F)) for g in group for v in gens}
+        orbit = {tuple(mat_vec(g, v, F)) for g in group for v in gens}
         assert o.closed == (len(orbit) <= 30)
         if o.closed:
             assert len(o.axes) == len(orbit)
@@ -428,13 +529,13 @@ def test_miyamoto_matrix_negates_exactly_the_half_space(field):
         for i in (0, 1, 2):
             v = q.to_vector(A(field, i))
             m = miyamoto_matrix(q, v)
-            spaces = eigenspace_split(q, v)
+            spaces = eigenspace_split(q, i)
             assert m is not None and spaces is not None
             for lam, basis in spaces.items():
                 sign = -1 if lam == half else 1
                 for b in basis:
-                    assert linalg.mat_vec(m, b, field) == \
-                        linalg.vec_scale(b, sign, field.characteristic)
+                    assert mat_vec(m, b, field) == \
+                        vec_scale(b, sign, field.characteristic)
 
 
 @pytest.mark.parametrize("F", [QQ, GF(5)], ids=["char0", "char5"])

@@ -16,9 +16,9 @@ from highwater import GF, QQ
 from highwater.eigen import eigendecompose, miyamoto_map
 import highwater.ideals as ideals
 from highwater.ideals import ideal_of, laurent_gcd
-from highwater.linalg import kernel_basis
-from highwater.quotients import FiniteAlgebra
+from highwater.quotients import FiniteAlgebra, eigenspace_split
 from highwater.textio import format_element, parse_element
+from oracle import adjoint, kernel_basis
 
 FIELDS = [QQ, GF(5), GF(7), GF(10 ** 9 + 7)]
 
@@ -95,7 +95,7 @@ def test_reduction_and_quotients_store_raw_values(data):
         # the quotient inside the radical takes elements of J only
         u, v = (q.to_vector(z.part("p") if q.j_relative else z)
                 for z in (x, y))
-        ad = q.adjoint(u)
+        ad = adjoint(q, u)
         assert_vectors(field, [u, v, q.mult(u, v)] + ad)
         assert_vectors(field, kernel_basis(ad, field))
 
@@ -108,6 +108,13 @@ def test_quotient_structure_tables_store_raw_values():
             assert all(all(e) for e in entries)
             assert all(_is_raw(field, c) and c
                        for b in q.basis_labels for c in b.terms.values())
+
+
+def test_quotient_eigenspaces_store_raw_values():
+    for field in FIELDS:
+        for _, q in _quotients(field):
+            for basis in eigenspace_split(q, 1).values():
+                assert_vectors(field, basis)
 
 
 def _assert_fractions(values):
